@@ -215,8 +215,7 @@ void QueryContext::retract_violated_candidates() {
   }
   // Strike through the database: sub-limit strikes are bookkeeping only; a
   // repeat offender's RetractMay event replays into every mirror (including
-  // this one) at its next sync. Counting happens in the database, so
-  // concurrent workers never double-count one candidate.
+  // this one) at its next sync.
   for (const std::size_t id : hit) db_.strike_may(id);
 }
 
@@ -234,9 +233,9 @@ sat::LBool QueryContext::may_consecution_query(
   std::vector<sat::Lit> assumptions = this->assumptions(level - 1);
   for (const std::size_t id : survivor_ids) {
     const auto it = may_.find(id);
-    // A survivor retracted by a racing worker mid-pass simply drops out of
-    // the assumption set; the check is then relative to a smaller set, which
-    // only makes an UNSAT answer stronger.
+    // A survivor retracted mid-pass simply drops out of the assumption set;
+    // the check is then relative to a smaller set, which only makes an UNSAT
+    // answer stronger.
     if (it != may_.end()) assumptions.push_back(it->second.gate);
   }
   for (const StateLit& l : cube) assumptions.push_back(cube_lit(1, l));

@@ -1,18 +1,14 @@
 #pragma once
 
 /// \file context.hpp
-/// Per-worker PDR query context: one transition solver + one initiation
-/// solver (both owned by a `sat::SolverPool`), their unrollers, the
-/// activation-literal ladder, and a lazily-synced mirror of the shared
-/// `FrameDb`.
+/// PDR query context: one transition solver + one initiation solver (both
+/// owned by a `sat::SolverPool`), their unrollers, the activation-literal
+/// ladder, and a lazily-synced mirror of the `FrameDb`.
 ///
 /// A context is the only place solver literals exist; everything above it
 /// (blocking, generalization, propagation, orchestration) trades in
-/// manager-neutral cubes. One context belongs to exactly one worker at a
-/// time — it is not internally synchronized. The sharded engine gives each
-/// worker a context over a private `ir::SystemClone`; worker 0's context
-/// runs over the caller's own system, so `workers == 1` degenerates to the
-/// legacy single-solver engine with zero threading overhead.
+/// manager-neutral cubes. A context is not internally synchronized: one
+/// engine run owns it and drives it from one thread.
 ///
 /// FrameDb mirroring: `sync()` replays the database journal since the
 /// context's last synced epoch — level pushes allocate activation literals,
@@ -35,8 +31,7 @@
 /// and apply the clean-rerun discipline (see relative_query), so no answer
 /// that leaves this context ever depends on an unproven candidate.
 ///
-/// Ternary lifting: the context owns a per-worker `TernarySim` over its own
-/// system (clone), so lifting never shares IR across threads.
+/// Ternary lifting: the context owns a `TernarySim` over its system.
 
 #include <map>
 #include <memory>
@@ -54,8 +49,7 @@ namespace genfv::mc::pdr {
 class QueryContext {
  public:
   /// `ts`, `property` and `lemmas` must all live in the same NodeManager
-  /// (the worker's clone, or the caller's system for worker 0) and outlive
-  /// the context; so must `pool`, `db` and `options`.
+  /// and outlive the context; so must `pool`, `db` and `options`.
   QueryContext(const ir::TransitionSystem& ts, ir::NodeRef property,
                const std::vector<ir::NodeRef>& lemmas, const PdrOptions& options,
                sat::SolverPool& pool, FrameDb& db);
@@ -207,7 +201,7 @@ class QueryContext {
   };
   std::map<std::size_t, MayEntry> may_;
 
-  /// Lazily-constructed per-worker ternary simulator (ternary_lifting only).
+  /// Lazily-constructed ternary simulator (ternary_lifting only).
   std::unique_ptr<TernarySim> ternary_;
   std::size_t lifted_bits_ = 0;
   std::size_t lifted_input_bits_ = 0;

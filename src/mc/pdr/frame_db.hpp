@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file frame_db.hpp
-/// The shared, solver-neutral PDR frame database F_0 ⊆ F_1 ⊆ … ⊆ F_N ⊆ F_∞.
+/// The solver-neutral PDR frame database F_0 ⊆ F_1 ⊆ … ⊆ F_N ⊆ F_∞.
 ///
 /// Blocked cubes are kept in delta encoding exactly like the classic frame
 /// trace — each cube is stored only at the highest level where its clause is
@@ -9,12 +9,13 @@
 /// clauses stored at levels ≥ i (plus everything in F_∞). Unlike the old
 /// `FrameTrace`, the database holds **no solver state at all**: cubes are
 /// `{state-index, bit, polarity}` literals (`StateLit`, the same
-/// manager-neutral currency as `mc::ExchangedClause`), so the one structure
-/// can be shared by any number of per-worker query contexts over any number
-/// of system clones.
+/// manager-neutral currency as `mc::ExchangedClause`), and a query context
+/// mirrors it into its solver (below).
 ///
-/// Thread-safety: every method is internally synchronized by one mutex; any
-/// worker may add/query at any time. Accessors return snapshots by value.
+/// Thread-safety: every method is internally synchronized by one mutex, so
+/// the class is safe to share even though one engine run owns it; the
+/// mutex's annotations are also what the clang thread-safety leg's
+/// negative-compile probe checks. Accessors return snapshots by value.
 ///
 /// Epoch sync: every mutation appends an event to an append-only journal and
 /// the epoch is the journal length. A `QueryContext` mirrors the database
@@ -136,7 +137,7 @@ class FrameDb {
   bool strike_may(std::size_t id);
 
   /// Strikes before strike_may retracts (minimum 1; default 2). Set before
-  /// workers start; see PdrOptions::candidate_strikes.
+  /// the run starts; see PdrOptions::candidate_strikes.
   void set_candidate_strikes(std::size_t limit);
 
   /// Remove candidate `id` from the may set because a clean may-proof
@@ -187,11 +188,8 @@ class FrameDb {
   bool remove_may(std::size_t id, std::size_t* counter) GENFV_EXCLUDES(mu_);
   bool remove_may_locked(std::size_t id, std::size_t* counter) GENFV_REQUIRES(mu_);
 
-  /// The named mutex subsumes the old lock_timed(): util::Mutex attributes
-  /// lock waits to `pdr.framedb_mutex_wait_ns` / `pdr.framedb_mutex_locks`
-  /// whenever telemetry is on. The one-mutex design was flagged as a
-  /// contention risk when sharded PDR landed; the counters keep the actual
-  /// cost measurable.
+  /// util::Mutex attributes lock waits to `pdr.framedb_mutex_wait_ns` /
+  /// `pdr.framedb_mutex_locks` whenever telemetry is on.
   mutable util::Mutex mu_{"pdr.framedb"};
   std::vector<std::vector<Cube>> levels_ GENFV_GUARDED_BY(mu_);  ///< delta-encoded
   std::vector<Cube> infinity_ GENFV_GUARDED_BY(mu_);

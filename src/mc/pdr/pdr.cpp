@@ -1,10 +1,8 @@
 #include "mc/pdr/pdr.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <unordered_set>
 
-#include "ir/clone.hpp"
 #include "mc/pdr/blocking.hpp"
 #include "mc/pdr/context.hpp"
 #include "mc/pdr/frame_db.hpp"
@@ -37,18 +35,14 @@ bool references_input(ir::NodeRef root) {
   return false;
 }
 
-/// All mutable state of one prove_all() run: the shared solver-neutral
-/// structures (frame database, obligation arena, solver pool) plus one query
-/// context per worker. Context 0 always runs over the caller's own system
-/// on the calling thread; contexts 1..n-1 each own a private `ir::SystemClone`
-/// so no NodeManager ever crosses a thread — the portfolio's clone
-/// discipline applied inside one engine.
+/// All mutable state of one prove_all() run: the solver-neutral structures
+/// (frame database, obligation arena, solver pool) plus the query context
+/// that mirrors them into its solvers.
 struct PdrRun {
   FrameDb db;
   ObligationQueue queue;
   sat::SolverPool pool;
-  std::vector<std::unique_ptr<ir::SystemClone>> clones;
-  std::vector<std::unique_ptr<QueryContext>> contexts;
+  QueryContext ctx;
   /// Candidate intake from the exchange mailbox (seed_candidates only):
   /// caller-owned cursor plus the standard consumer-side dedupe.
   std::size_t mailbox_cursor = 0;
@@ -57,31 +51,10 @@ struct PdrRun {
   PdrRun(const ir::TransitionSystem& ts, const PdrOptions& options, ir::NodeRef prop)
       : pool(sat::SolverConfig{options.conflict_budget, options.stop.get(),
                                options.sat_inprocess, options.sat_backend,
-                               options.drat_path}) {
+                               options.drat_path}),
+        ctx(ts, prop, options.lemmas, options, pool, db) {
     db.set_candidate_strikes(options.candidate_strikes);
-    const std::size_t n = std::max<std::size_t>(1, options.workers);
-    contexts.reserve(n);
-    contexts.push_back(std::make_unique<QueryContext>(ts, prop, options.lemmas,
-                                                      options, pool, db));
-    for (std::size_t i = 1; i < n; ++i) {
-      clones.push_back(std::make_unique<ir::SystemClone>(ts));
-      ir::SystemClone& clone = *clones.back();
-      std::vector<ir::NodeRef> lemmas;
-      lemmas.reserve(options.lemmas.size());
-      for (const ir::NodeRef l : options.lemmas) lemmas.push_back(clone.to_clone(l));
-      contexts.push_back(std::make_unique<QueryContext>(
-          clone.system(), clone.to_clone(prop), lemmas, options, pool, db));
-    }
     db.push_level();  // level 1: the first frontier
-  }
-
-  QueryContext& main() { return *contexts.front(); }
-
-  std::vector<QueryContext*> context_ptrs() {
-    std::vector<QueryContext*> out;
-    out.reserve(contexts.size());
-    for (const auto& ctx : contexts) out.push_back(ctx.get());
-    return out;
   }
 };
 
@@ -137,18 +110,15 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   }
 
   PdrRun run(ts_, options_, prop);
-  QueryContext& main = run.main();
-  const std::vector<QueryContext*> contexts = run.context_ptrs();
+  QueryContext& ctx = run.ctx;
 
   auto finish = [&](Verdict verdict, std::size_t depth) {
     result.verdict = verdict;
     result.depth = depth;
     result.stats.absorb(run.pool.total_stats());
-    for (const QueryContext* ctx : contexts) {
-      result.stats.retired_gates += ctx->retired_gates();
-      result.stats.lifted_bits += ctx->lifted_bits();
-      result.stats.lifted_input_bits += ctx->lifted_input_bits();
-    }
+    result.stats.retired_gates += ctx.retired_gates();
+    result.stats.lifted_bits += ctx.lifted_bits();
+    result.stats.lifted_input_bits += ctx.lifted_input_bits();
     result.stats.solver_rebuilds += run.pool.rebuilds();
     result.stats.candidates_seeded += run.db.may_seeded();
     result.stats.candidates_graduated += run.db.may_graduated();
@@ -194,9 +164,9 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
 
   // 0-step: a property violation inside the initial states themselves.
   {
-    const sat::LBool answer = main.init_solver().solve({~main.init_prop_lit()});
+    const sat::LBool answer = ctx.init_solver().solve({~ctx.init_prop_lit()});
     if (answer == sat::LBool::True) {
-      result.cex = main.init_unroller().extract_trace(1);
+      result.cex = ctx.init_unroller().extract_trace(1);
       return finish(Verdict::Falsified, 0);
     }
     if (answer == sat::LBool::Undef) return finish(Verdict::Unknown, 0);
@@ -204,9 +174,7 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
 
   // Reconstruct a trace from a level-0 obligation chain: the chain's states
   // run from an initial state to the property violation, and each stored
-  // input vector drives its state into the next one. Obligations carry only
-  // manager-neutral values, so this works no matter which worker's context
-  // discovered each link.
+  // input vector drives its state into the next one.
   //
   // With ternary lifting the stored per-link state values are witnesses of
   // *cubes*, not one execution: the init-end link holds a genuine initial
@@ -263,7 +231,7 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   while (true) {
     const std::size_t frontier = run.db.frontier();
     if (util::telemetry_on()) frontier_gauge.set(static_cast<std::int64_t>(frontier));
-    if (main.stopped()) return finish(Verdict::Unknown, frontier);
+    if (ctx.stopped()) return finish(Verdict::Unknown, frontier);
 
     // Absorb new candidate material before the SAT-heavy phases: proven
     // clauses strengthen every query unconditionally, fresh candidates ride
@@ -279,19 +247,18 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     {
       GENFV_TRACE_SPAN("pdr", "may_proof");
       util::ScopedTimerNs timer(may_proof_ns);
-      if (!may_proof_pass(main, run.db, options_)) {
+      if (!may_proof_pass(ctx, run.db, options_)) {
         return finish(Verdict::Unknown, frontier);
       }
     }
 
     // Strengthen the frontier: block every state that violates the property
-    // (and every predecessor chain those states drag in) — sequentially on
-    // context 0 for workers == 1, sharded across the pool otherwise.
+    // (and every predecessor chain those states drag in).
     std::size_t cex_index = 0;
     {
       GENFV_TRACE_SPAN("pdr", "blocking");
       util::ScopedTimerNs timer(blocking_ns);
-      switch (strengthen_frontier(contexts, run.db, run.queue, options_, frontier,
+      switch (strengthen_frontier(ctx, run.db, run.queue, options_, frontier,
                                   &cex_index)) {
         case BlockOutcome::Blocked: break;
         case BlockOutcome::Counterexample:
@@ -305,10 +272,7 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     {
       GENFV_TRACE_SPAN("pdr", "propagate");
       util::ScopedTimerNs timer(propagate_ns);
-      const PropagateOutcome propagated =
-          contexts.size() == 1 ? propagate_all(main, run.db, options_)
-                               : propagate_sharded(contexts, run.db, options_);
-      if (propagated == PropagateOutcome::Budget) {
+      if (propagate_all(ctx, run.db, options_) == PropagateOutcome::Budget) {
         return finish(Verdict::Unknown, frontier);
       }
     }
@@ -320,7 +284,7 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     {
       GENFV_TRACE_SPAN("pdr", "push_infinity");
       util::ScopedTimerNs timer(push_infinity_ns);
-      if (!push_to_infinity(main, run.db, options_)) {
+      if (!push_to_infinity(ctx, run.db, options_)) {
         return finish(Verdict::Unknown, frontier);
       }
     }

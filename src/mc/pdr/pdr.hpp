@@ -19,16 +19,14 @@
 ///    invariant`) so the helper-generation flow can re-use them as proven
 ///    lemmas.
 ///
-/// The engine is layered for sharding (this header is only the façade):
-///  * `frame_db.hpp` — the shared, solver-neutral frame database;
-///  * `context.hpp` — per-worker query contexts (solver + unroller +
-///    activation literals + gate-litter rebuild) over a `sat::SolverPool`;
+/// The engine is layered (this header is only the façade):
+///  * `frame_db.hpp` — the solver-neutral frame database;
+///  * `context.hpp` — the query context (solver + unroller + activation
+///    literals + gate-litter rebuild) over a `sat::SolverPool`;
 ///  * `blocking.hpp` / `generalize.hpp` / `propagate.hpp` — the algorithm
 ///    split into frontier strengthening, inductive generalization and
 ///    forward propagation / F_∞ graduation;
-///  * `pdr.cpp` — orchestration. `PdrOptions::workers == 1` reproduces the
-///    legacy single-threaded engine bit for bit; more workers shard
-///    obligation blocking and propagation over private system clones.
+///  * `pdr.cpp` — orchestration: one query context on the calling thread.
 
 #include <atomic>
 #include <cstdint>
@@ -93,13 +91,6 @@ struct PdrOptions {
   /// disjunctions of state-bit literals — can seed; others are skipped.
   /// Ignored unless `seed_candidates` is set.
   std::vector<ir::NodeRef> candidate_lemmas;
-  /// Worker shards for obligation blocking and clause propagation. 1 (the
-  /// default) runs a single query context on the caller's system — bit for
-  /// bit the legacy single-threaded engine. n > 1 runs n query contexts,
-  /// each over a private `ir::SystemClone` (no NodeManager ever crosses a
-  /// thread), sharing the solver-neutral `FrameDb` and obligation queue;
-  /// verdicts are unchanged, wall-clock and trajectory are not.
-  std::size_t workers = 1;
   /// Query-gate hygiene: every finished blocking query retires its
   /// activation gate as a permanently-satisfied unit clause, and those
   /// accumulate without bound on long runs. When a context has retired this

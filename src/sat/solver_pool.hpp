@@ -1,13 +1,13 @@
 #pragma once
 
 /// \file solver_pool.hpp
-/// A pool of CDCL solvers with uniform configuration, built for engines that
-/// run one query context per worker (the sharded PDR engine being the first
-/// client). The pool owns every solver it hands out, applies the same
-/// conflict budget and stop flag to each, and supports *in-place rebuild*:
-/// replacing one handle's solver with a fresh instance while folding the
-/// retired solver's lifetime statistics into a pool-level accumulator, so
-/// `total_stats()` stays monotone across rebuilds.
+/// A pool of CDCL solvers with uniform configuration, built for query engines
+/// that hold several solvers at once (PDR's query context holds a transition
+/// and an initiation solver). The pool owns every solver it hands out,
+/// applies the same conflict budget and stop flag to each, and supports
+/// *in-place rebuild*: replacing one handle's solver with a fresh instance
+/// while folding the retired solver's lifetime statistics into a pool-level
+/// accumulator, so `total_stats()` stays monotone across rebuilds.
 ///
 /// Rebuild exists because incremental query engines litter their solver with
 /// retired one-shot artefacts — PDR's per-query activation gates become
@@ -17,14 +17,10 @@
 /// pool provides the mechanism, the owning query context decides when and
 /// re-encodes what is still live.
 ///
-/// Thread-safety: handles follow the portfolio's clone discipline — acquire
-/// every handle on the owning thread before workers start, then give each
-/// worker exclusive use of its handle(s) during a parallel phase (`at()` is
-/// unsynchronized; distinct handles never alias). The pool-level
-/// accumulators are the exception: concurrent workers may each trigger
-/// `rebuild()` on their own handle, so folding into the retired-stats
-/// accumulator and the rebuild counter is mutex-guarded, as are the
-/// `total_stats()` / `rebuilds()` reads.
+/// Thread-safety: per-handle access (`at()`) is unsynchronized — a pool and
+/// its handles belong to one engine run on one thread; distinct handles never
+/// alias. The pool-level accumulators (retired stats, rebuild counter) are
+/// mutex-guarded, as are the `total_stats()` / `rebuilds()` reads.
 
 #include <cstdint>
 #include <memory>
@@ -73,8 +69,7 @@ class SolverPool {
   /// Replace `handle`'s solver with a fresh configured instance. The retired
   /// solver's lifetime stats are folded into the pool accumulator first, so
   /// they are never lost; its clauses, variables and models are dropped.
-  /// References to the old solver are invalidated. Safe to call from the
-  /// worker owning `handle` while other workers use theirs.
+  /// References to the old solver are invalidated.
   Backend& rebuild(std::size_t handle);
 
   /// Number of rebuild() calls over the pool's lifetime.
@@ -82,8 +77,8 @@ class SolverPool {
 
   /// Lifetime statistics: every live solver plus everything retired through
   /// rebuild(). Monotone across rebuilds. Live solvers' counters are read
-  /// unsynchronized, so call only while no worker is solving (in practice:
-  /// after the parallel phases have joined).
+  /// unsynchronized, so call only while none of the pool's solvers is
+  /// solving.
   SolverStats total_stats() const;
 
  private:
@@ -91,8 +86,8 @@ class SolverPool {
 
   SolverConfig config_;
   std::vector<std::unique_ptr<Backend>> solvers_;
-  /// Guards the cross-handle accumulators below (several workers may retire
-  /// their solvers concurrently); per-handle solver access is unguarded.
+  /// Guards the cross-handle accumulators below; per-handle solver access is
+  /// unguarded.
   mutable util::Mutex mu_{"sat.solver_pool"};
   SolverStats retired_ GENFV_GUARDED_BY(mu_);
   std::uint64_t rebuilds_ GENFV_GUARDED_BY(mu_) = 0;

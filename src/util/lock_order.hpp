@@ -24,8 +24,8 @@
 /// The layer also checks the engine-specific hazard called out in PR 4:
 /// `sat::SolverPool::rebuild()` invalidates the handle's solver, so invoking
 /// it while holding any engine mutex risks both deadlock (rebuild takes the
-/// pool accumulator lock) and use-after-free-by-design (another worker
-/// observing the handle mid-swap). `check_no_locks_held` records a hazard
+/// pool accumulator lock) and use-after-free-by-design (a holder of the old
+/// solver reference observing the handle mid-swap). `check_no_locks_held` records a hazard
 /// whenever rebuild runs with locks held.
 ///
 /// Violations are counted, described (first occurrence per edge), and logged
@@ -49,7 +49,7 @@ bool enabled() noexcept;
 std::size_t cycle_count() noexcept;
 
 /// Human-readable description of every detected cycle, e.g.
-/// "lock-order cycle: pdr.framedb -> shard_state -> pdr.framedb".
+/// "lock-order cycle: pdr.framedb -> sat.solver_pool -> pdr.framedb".
 std::vector<std::string> cycle_reports();
 
 /// Number of held-across-forbidden-region hazards (check_no_locks_held).

@@ -4,9 +4,13 @@
 /// Small string utilities shared by the frontends, prompt rendering and
 /// report formatting. Kept dependency-free.
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace genfv::util {
@@ -19,6 +23,22 @@ std::vector<std::string> split_ws(std::string_view text);
 
 /// Trim ASCII whitespace from both ends.
 std::string trim(std::string_view text);
+
+/// Parse the whole of `text` as a number of type T with std::from_chars: no
+/// surrounding whitespace, no '+' sign, no trailing characters. nullopt for
+/// anything else — a non-number, a value outside T's range, a '-' sign for
+/// an unsigned T, or a NaN/infinite floating-point value.
+template <typename T>
+std::optional<T> parse_number(std::string_view text) noexcept {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
+}
 
 /// Join `parts` with `sep`.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);

@@ -137,9 +137,9 @@ class GENFV_CAPABILITY("mutex") Mutex {
 };
 
 /// RAII scoped lock over Mutex — the only sanctioned way to hold one.
-/// Supports the mid-scope Unlock()/Lock() cycle the sharded-PDR worker loop
-/// needs (solver work happens unlocked), in the exact shape clang's analysis
-/// understands for scoped capabilities.
+/// Supports a mid-scope Unlock()/Lock() cycle (e.g. to do slow work
+/// unlocked), in the exact shape clang's analysis understands for scoped
+/// capabilities.
 class GENFV_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) GENFV_ACQUIRE(mu) : mu_(&mu), held_(true) {

@@ -1,16 +1,15 @@
 /// IC3/PDR engine tests: verdicts on hand-built systems and registry
 /// designs, counterexample reconstruction, cube generalization, lemma
 /// seeding, inductive-invariant export (with an independent SAT check and an
-/// SVA printer round-trip), the sharded-query architecture (FrameDb epoch
-/// sync, solver rebuilds, multi-worker verdict agreement, the pinned legacy
-/// trajectory for workers == 1), ternary-simulation cube lifting,
+/// SVA printer round-trip), the FrameDb/QueryContext layering (epoch sync,
+/// solver rebuilds, the pinned legacy trajectory), ternary-simulation cube
+/// lifting,
 /// candidate-lemma frame seeding under the may-proof discipline, and the
 /// uniform mc::Engine interface.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <set>
 #include <string>
 
 #include "designs/design.hpp"
@@ -29,7 +28,6 @@
 #include "sva/compiler.hpp"
 #include "sva/parser.hpp"
 #include "util/status.hpp"
-#include "util/telemetry.hpp"
 
 namespace genfv::mc::pdr {
 namespace {
@@ -177,8 +175,7 @@ TEST(PdrFrameDb, EraseOnGraduation) {
 
 TEST(PdrFrameDb, EpochSyncIntoTwoIndependentContexts) {
   // Two query contexts mirror one database; a clause blocked through the
-  // database must become visible to *both* solvers after their next sync —
-  // the mechanism the sharded engine's workers rely on.
+  // database must become visible to *both* solvers after their next sync.
   auto ts = stride_counter(4, 1);
   auto& nm = ts.nm();
   const NodeRef prop = nm.mk_true();
@@ -432,13 +429,13 @@ TEST(PdrEngineTest, InvariantRoundTripsThroughSvaPrinter) {
   }
 }
 
-// --- the sharded-query architecture ------------------------------------------
+// --- the pinned legacy trajectory --------------------------------------------
 
 /// Verdicts and frontier depths of the pre-refactor single-solver engine at
-/// max_steps = 12, recorded design by design before the sharded-query
-/// rewrite landed. `pdr_workers == 1` must reproduce them exactly — the
-/// refactor re-expresses the same algorithm over FrameDb + QueryContext, so
-/// any drift here means the query sequence changed.
+/// max_steps = 12, recorded design by design before the FrameDb +
+/// QueryContext rewrite landed. The engine must reproduce them exactly — the
+/// layering re-expresses the same algorithm, so any drift here means the
+/// query sequence changed.
 struct LegacyExpectation {
   const char* design;
   Verdict verdict;
@@ -461,7 +458,7 @@ constexpr LegacyExpectation kLegacyRegistry[] = {
     {"secded84", Verdict::Proven, 2, false},
 };
 
-TEST(PdrSharding, SingleWorkerReproducesLegacyTrajectory) {
+TEST(PdrTrajectory, ReproducesLegacyTrajectory) {
   const bool slow_ok = std::getenv("GENFV_SLOW_TESTS") != nullptr;
   for (const LegacyExpectation& expected : kLegacyRegistry) {
     if (expected.slow && !slow_ok) continue;
@@ -475,7 +472,7 @@ TEST(PdrSharding, SingleWorkerReproducesLegacyTrajectory) {
   }
 }
 
-TEST(PdrSharding, SingleWorkerIsDeterministicRunToRun) {
+TEST(PdrTrajectory, IsDeterministicRunToRun) {
   for (const char* name : {"sequencer", "token_ring"}) {
     auto task = designs::make_task(name);
     mc::EngineOptions options;
@@ -491,144 +488,6 @@ TEST(PdrSharding, SingleWorkerIsDeterministicRunToRun) {
     EXPECT_EQ(runs[0].stats.conflicts, runs[1].stats.conflicts) << name;
     EXPECT_EQ(runs[0].invariant.size(), runs[1].invariant.size()) << name;
   }
-}
-
-TEST(PdrSharding, AutoWorkersKeepsSmallDesignsSequential) {
-  // pdr_workers == 0 resolves per design: sync_counters (the BENCH_PR5
-  // sharding-regression case) sits under the node threshold and must stay
-  // sequential on any machine; larger designs resolve to a hardware-capped
-  // shard count that is always a legal worker count.
-  auto small = designs::make_task("sync_counters");
-  EXPECT_EQ(mc::auto_pdr_workers(small.ts), 1u);
-
-  auto larger = designs::make_task("updown_pair");
-  const std::size_t resolved = mc::auto_pdr_workers(larger.ts);
-  EXPECT_GE(resolved, 1u);
-  EXPECT_LE(resolved, 4u);
-
-  // The adapter seam accepts the sentinel end to end: verdicts are worker-
-  // invariant, so an auto run must agree with the pinned expectation.
-  mc::EngineOptions options;
-  options.max_steps = 12;
-  options.pdr_workers = 0;
-  auto engine = mc::make_engine(mc::EngineKind::Pdr, small.ts, options);
-  EXPECT_EQ(engine->prove_all(small.target_exprs()).verdict, Verdict::Unknown);
-}
-
-TEST(PdrSharding, MultiWorkerAgreesOnRegistryVerdicts) {
-  // workers > 1 perturbs the frame trajectory (SAT models differ across
-  // interleavings) but can never flip a verdict; depths may shift.
-  const bool slow_ok = std::getenv("GENFV_SLOW_TESTS") != nullptr;
-  for (const LegacyExpectation& expected : kLegacyRegistry) {
-    if (expected.slow && !slow_ok) continue;
-    auto task = designs::make_task(expected.design);
-    mc::EngineOptions options;
-    options.max_steps = 12;
-    options.pdr_workers = 4;
-    auto engine = mc::make_engine(mc::EngineKind::Pdr, task.ts, options);
-    const mc::EngineResult result = engine->prove_all(task.target_exprs());
-    EXPECT_EQ(result.verdict, expected.verdict) << expected.design;
-    if (result.verdict == Verdict::Proven) {
-      ASSERT_FALSE(result.invariant.empty()) << expected.design;
-      auto nm = task.ts.nm_ptr();
-      ir::NodeRef conj = nm->mk_true();
-      for (const NodeRef t : task.target_exprs()) conj = nm->mk_and(conj, t);
-      EXPECT_TRUE(check_invariant(task.ts, result.invariant, {}, conj))
-          << expected.design;
-    }
-  }
-}
-
-TEST(PdrSharding, MultiWorkerWithForcedRebuildsAgrees) {
-  // Several workers crossing the gate limit rebuild their solvers
-  // concurrently — the pool's retired-stats fold must be race-free (this
-  // runs under TSan in CI) and verdicts must hold.
-  auto task = designs::make_task("sequencer");
-  mc::EngineOptions options;
-  options.max_steps = 12;
-  options.pdr_workers = 4;
-  options.pdr_rebuild_gate_limit = 2;
-  auto engine = mc::make_engine(mc::EngineKind::Pdr, task.ts, options);
-  const mc::EngineResult result = engine->prove_all(task.target_exprs());
-  EXPECT_EQ(result.verdict, Verdict::Proven);
-  EXPECT_GT(result.stats.solver_rebuilds, 0u);
-  EXPECT_GT(result.stats.retired_gates, 0u);
-}
-
-TEST(PdrSharding, MultiWorkerFalsifiesWithConsistentTrace) {
-  auto ts = stride_counter(4, 1);
-  auto& nm = ts.nm();
-  const NodeRef prop = nm.mk_ne(ts.lookup("count"), nm.mk_const(9, 4));
-  PdrOptions options;
-  options.max_frames = 32;
-  options.workers = 4;
-  PdrEngine engine(ts, options);
-  const PdrResult result = engine.prove(prop);
-  ASSERT_EQ(result.verdict, Verdict::Falsified);
-  ASSERT_TRUE(result.cex.has_value());
-  EXPECT_TRUE(result.cex->is_consistent());
-  const auto violation = result.cex->first_violation(prop);
-  ASSERT_TRUE(violation.has_value());
-  // The deterministic counter admits exactly one execution: 10 frames —
-  // whichever worker found the chain.
-  EXPECT_EQ(result.cex->size(), 10u);
-  EXPECT_EQ(*violation, 9u);
-  EXPECT_EQ(result.depth, result.cex->size() - 1);
-}
-
-TEST(PdrSharding, MultiWorkerProvesWithCheckedInvariant) {
-  auto ts = stride_counter(8, 2);
-  auto& nm = ts.nm();
-  const NodeRef prop = nm.mk_ne(ts.lookup("count"), nm.mk_const(7, 8));
-  PdrOptions options;
-  options.max_frames = 16;
-  options.workers = 3;
-  PdrEngine engine(ts, options);
-  const PdrResult result = engine.prove(prop);
-  EXPECT_EQ(result.verdict, Verdict::Proven);
-  ASSERT_FALSE(result.invariant.empty());
-  EXPECT_TRUE(check_invariant(ts, result.invariant, {}, prop));
-}
-
-TEST(PdrSharding, MultiWorkerTracingAttributesSpansAcrossThreads) {
-  // Tracing enabled during a 4-worker proof (the PdrSharding.MultiWorker*
-  // name keeps this under TSan in CI): spans must land in per-thread
-  // buffers from more than one thread, cover both the pdr and sat layers,
-  // and survive export with the shard workers' thread names intact.
-  util::set_telemetry_level(util::TelemetryLevel::Tracing);
-  util::trace_reset();
-  auto ts = stride_counter(8, 2);
-  auto& nm = ts.nm();
-  const NodeRef prop = nm.mk_ne(ts.lookup("count"), nm.mk_const(7, 8));
-  PdrOptions options;
-  options.max_frames = 16;
-  options.workers = 4;
-  PdrEngine engine(ts, options);
-  const PdrResult result = engine.prove(prop);
-
-  const auto events = util::trace_snapshot();
-  const std::string json = util::trace_to_json();
-  const std::uint64_t dropped = util::trace_dropped_events();
-  util::set_telemetry_level(util::TelemetryLevel::Off);
-  util::trace_reset();
-
-  EXPECT_EQ(result.verdict, Verdict::Proven);
-  std::set<std::string> categories;
-  std::set<int> threads;
-  std::size_t shard_spans = 0;
-  for (const auto& e : events) {
-    categories.insert(e.category);
-    threads.insert(e.thread);
-    if (std::string(e.name) == "shard_worker") ++shard_spans;
-  }
-  EXPECT_TRUE(categories.count("pdr")) << "no pdr spans recorded";
-  EXPECT_TRUE(categories.count("sat")) << "no sat spans recorded";
-  EXPECT_GT(threads.size(), 1u) << "all spans landed on one thread";
-  EXPECT_GT(shard_spans, 0u);
-  EXPECT_EQ(dropped, 0u);
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("pdr-worker-"), std::string::npos)
-      << "worker thread names missing from the export";
 }
 
 // --- query-gate hygiene ------------------------------------------------------
@@ -1165,12 +1024,11 @@ TEST(PdrSeeding, EngineInterfaceThreadsCandidateOptions) {
   EXPECT_EQ(result.stats.candidates_graduated, 1u);
 }
 
-TEST(PdrSharding, MultiWorkerWithLiftingAndSeedingAgrees) {
-  // The full registry with both new knobs on and a deliberately mixed
-  // candidate diet (one clause per polarity of the first state bit: at most
-  // one can be true; the initiation filter and spurious-obligation
-  // retraction must sort them out on every design). Runs under TSan in CI —
-  // may retraction and lifting are per-worker paths over the shared FrameDb.
+TEST(PdrTrajectory, LiftingAndSeedingAgreeOnRegistryVerdicts) {
+  // The full registry with both knobs on and a deliberately mixed candidate
+  // diet (one clause per polarity of the first state bit: at most one can be
+  // true; the initiation filter and spurious-obligation retraction must sort
+  // them out on every design).
   const bool slow_ok = std::getenv("GENFV_SLOW_TESTS") != nullptr;
   for (const LegacyExpectation& expected : kLegacyRegistry) {
     if (expected.slow && !slow_ok) continue;
@@ -1179,7 +1037,6 @@ TEST(PdrSharding, MultiWorkerWithLiftingAndSeedingAgrees) {
     const NodeRef first = task.ts.states().front().var;
     mc::EngineOptions options;
     options.max_steps = 12;
-    options.pdr_workers = 4;
     options.pdr_ternary_lifting = true;
     options.pdr_seed_candidates = true;
     options.pdr_candidate_lemmas = {nm->mk_bit(first, 0),

@@ -1,12 +1,15 @@
 /// Portfolio engine tests: first-conclusive-verdict scheduling in both the
 /// threaded and the deterministic time-sliced mode, cooperative stop-flag
 /// cancellation of every member engine, system cloning across NodeManagers,
-/// result translation back into the caller's system, the lemma-file round
-/// trip through LemmaManager, and flow-level engine selection.
+/// result translation back into the caller's system, trace attribution to
+/// the member threads, the lemma-file round trip through LemmaManager, and
+/// flow-level engine selection.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
+#include <string>
 
 #include "designs/design.hpp"
 #include "flow/cex_repair_flow.hpp"
@@ -20,6 +23,7 @@
 #include "sat/solver.hpp"
 #include "sva/compiler.hpp"
 #include "util/status.hpp"
+#include "util/telemetry.hpp"
 
 namespace genfv::mc {
 namespace {
@@ -132,6 +136,41 @@ TEST(Portfolio, WinnerCancelsLosers) {
       EXPECT_LT(member.depth, 100000u);  // cancelled, not exhausted
     }
   }
+}
+
+TEST(Portfolio, TracingAttributesMemberSpansAcrossThreads) {
+  // Tracing enabled during a threaded race (the suite runs under TSan in
+  // CI): spans must land in per-thread buffers from more than one thread,
+  // cover both the pdr and sat layers, and survive export with the member
+  // lanes' thread names intact.
+  util::set_telemetry_level(util::TelemetryLevel::Tracing);
+  util::trace_reset();
+  auto task = designs::make_task("sequencer");
+  EngineOptions options;
+  options.max_steps = 12;
+  auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
+  const EngineResult result = engine->prove_all(task.target_exprs());
+
+  const auto events = util::trace_snapshot();
+  const std::string json = util::trace_to_json();
+  const std::uint64_t dropped = util::trace_dropped_events();
+  util::set_telemetry_level(util::TelemetryLevel::Off);
+  util::trace_reset();
+
+  EXPECT_EQ(result.verdict, Verdict::Proven);
+  std::set<std::string> categories;
+  std::set<int> threads;
+  for (const auto& e : events) {
+    categories.insert(e.category);
+    threads.insert(e.thread);
+  }
+  EXPECT_TRUE(categories.count("pdr")) << "no pdr spans recorded";
+  EXPECT_TRUE(categories.count("sat")) << "no sat spans recorded";
+  EXPECT_GT(threads.size(), 1u) << "all spans landed on one thread";
+  EXPECT_EQ(dropped, 0u);
+  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(json.find("portfolio-pdr"), std::string::npos)
+      << "member lane names missing from the export";
 }
 
 TEST(Portfolio, ExternalStopCancelsTheWholeRace) {
@@ -269,14 +308,13 @@ testing::AssertionResult stats_conserved(const EngineResult& result) {
 }
 
 TEST(StatsConservation, ThreadedPortfolioMergeEqualsMemberSum) {
-  // Multi-worker PDR with forced solver rebuilds inside a threaded race:
+  // PDR with forced solver rebuilds inside a threaded race:
   // every effort counter a member accumulated (including the rebuild-fold
   // paths through the solver pool) must survive into the merged stats —
   // nothing lost, nothing double-counted.
   auto task = designs::make_task("sequencer");
   EngineOptions options;
   options.max_steps = 12;
-  options.pdr_workers = 4;
   options.pdr_rebuild_gate_limit = 2;
   auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
   const EngineResult result = engine->prove_all(task.target_exprs());

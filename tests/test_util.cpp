@@ -111,6 +111,20 @@ TEST(Strings, JoinAndAffixes) {
   EXPECT_TRUE(contains("foobar", "oba"));
 }
 
+TEST(Strings, ParseNumberTakesWholeTokensOnly) {
+  EXPECT_EQ(parse_number<std::size_t>("42"), std::optional<std::size_t>(42));
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"),
+            std::optional<std::uint64_t>(UINT64_MAX));
+  EXPECT_EQ(parse_number<double>("0.25"), std::optional<double>(0.25));
+  for (const char* bad : {"", "x", "4x", " 4", "4 ", "+4", "-1", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_number<std::size_t>(bad).has_value()) << '"' << bad << '"';
+  }
+  for (const char* bad : {"", "abc", "0.5s", "nan", "NaN", "inf", "-inf", "1e999"}) {
+    EXPECT_FALSE(parse_number<double>(bad).has_value()) << '"' << bad << '"';
+  }
+  EXPECT_EQ(parse_number<double>("-0.5"), std::optional<double>(-0.5));  // callers range-check
+}
+
 TEST(Strings, HexLiteral) {
   EXPECT_EQ(hex_literal(0xdeadbeef, 32), "32'hdeadbeef");
   EXPECT_EQ(hex_literal(0xff, 4), "4'hf");  // masked to width

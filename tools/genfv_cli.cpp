@@ -29,11 +29,6 @@
 ///   --exchange on|off                live lemma exchange between portfolio
 ///                                    members (default: on; no effect on
 ///                                    single engines)
-///   --pdr-workers <n>|auto           PDR worker shards for obligation
-///                                    blocking / clause propagation
-///                                    (default: auto — small designs stay on
-///                                    the single-threaded engine, larger ones
-///                                    shard; 1 forces single-threaded PDR)
 ///   --pdr-ternary on|off             PDR ternary-simulation cube lifting:
 ///                                    shrink extracted cubes before
 ///                                    generalization (default: off)
@@ -102,6 +97,7 @@
 #include "sat/solver.hpp"
 #include "sim/vcd.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 #include "util/telemetry.hpp"
 
 namespace {
@@ -118,7 +114,6 @@ struct CliOptions {
   std::string flow = "cex";
   mc::EngineKind engine = mc::EngineKind::KInduction;
   bool exchange = true;
-  std::size_t pdr_workers = 0;  ///< 0 = auto (mc::auto_pdr_workers per design)
   bool pdr_ternary = false;
   bool seed_candidates = false;
   std::size_t pdr_strikes = 2;
@@ -151,7 +146,7 @@ struct CliOptions {
                "  genfv_cli sat <file.cnf> [--sat-backend <name>] [--drat-out <path>]\n"
                "  genfv_cli designs | models\n"
                "options: --flow cex|helper|direct|plain  --engine bmc|kind|pdr|portfolio\n"
-               "         --exchange on|off  --pdr-workers <n>|auto  --pdr-ternary on|off\n"
+               "         --exchange on|off  --pdr-ternary on|off\n"
                "         --seed-candidates on|off  --pdr-strikes <n>\n"
                "         --sat-backend <name>  --sat-inprocess on|off  --drat-out <path>\n"
                "         --emit-lemmas <file>  --use-lemmas <file>\n"
@@ -191,6 +186,15 @@ CliOptions parse_args(int argc, char** argv) {
     if (has_inline_value) return inline_value;
     if (i >= argc) usage((std::string(flag) + " requires a value").c_str());
     return argv[i++];
+  };
+  // Numeric flags: the whole token must be a number of the field's type.
+  auto need_number = [&]<typename T>(const char* flag, T* out) {
+    const std::string value = need_value(flag);
+    const std::optional<T> parsed = util::parse_number<T>(value);
+    if (!parsed.has_value()) {
+      usage((std::string(flag) + " takes a number, got '" + value + "'").c_str());
+    }
+    *out = *parsed;
   };
   while (i < argc) {
     std::string arg = argv[i++];
@@ -236,16 +240,6 @@ CliOptions parse_args(int argc, char** argv) {
       else if (value == "off") opts.exchange = false;
       else usage("--exchange takes 'on' or 'off'");
     }
-    else if (arg == "--pdr-workers") {
-      const std::string value = need_value("--pdr-workers");
-      if (value == "auto") opts.pdr_workers = 0;
-      else {
-        opts.pdr_workers = std::stoull(value);
-        if (opts.pdr_workers == 0) {
-          usage("--pdr-workers takes a worker count >= 1 or 'auto'");
-        }
-      }
-    }
     else if (arg == "--pdr-ternary") {
       const std::string value = need_value("--pdr-ternary");
       if (value == "on") opts.pdr_ternary = true;
@@ -259,7 +253,7 @@ CliOptions parse_args(int argc, char** argv) {
       else usage("--seed-candidates takes 'on' or 'off'");
     }
     else if (arg == "--pdr-strikes") {
-      opts.pdr_strikes = std::stoull(need_value("--pdr-strikes"));
+      need_number("--pdr-strikes", &opts.pdr_strikes);
       if (opts.pdr_strikes == 0) usage("--pdr-strikes takes a strike limit >= 1");
     }
     else if (arg == "--sat-backend") opts.sat_backend = need_value("--sat-backend");
@@ -271,8 +265,8 @@ CliOptions parse_args(int argc, char** argv) {
     }
     else if (arg == "--drat-out") opts.drat_out = need_value("--drat-out");
     else if (arg == "--model") opts.model = need_value("--model");
-    else if (arg == "--seed") opts.seed = std::stoull(need_value("--seed"));
-    else if (arg == "--max-k") opts.max_k = std::stoull(need_value("--max-k"));
+    else if (arg == "--seed") need_number("--seed", &opts.seed);
+    else if (arg == "--max-k") need_number("--max-k", &opts.max_k);
     else if (arg == "--no-screen") { no_value("--no-screen"); opts.sim_screen = false; }
     else if (arg == "--dump-ts") opts.dump_ts_path = need_value("--dump-ts");
     else if (arg == "--dump-aiger") opts.dump_aiger_path = need_value("--dump-aiger");
@@ -280,7 +274,7 @@ CliOptions parse_args(int argc, char** argv) {
     else if (arg == "--trace-out") opts.trace_out_path = need_value("--trace-out");
     else if (arg == "--metrics-out") opts.metrics_out_path = need_value("--metrics-out");
     else if (arg == "--progress") {
-      opts.progress_seconds = std::stod(need_value("--progress"));
+      need_number("--progress", &opts.progress_seconds);
       if (opts.progress_seconds <= 0.0) usage("--progress requires a positive interval");
     }
     else if (arg == "--emit-lemmas") opts.emit_lemmas_path = need_value("--emit-lemmas");
@@ -381,7 +375,6 @@ int run_plain(flow::VerificationTask& task, const CliOptions& opts) {
   mc::EngineOptions base;
   base.max_steps = opts.max_k;
   base.exchange = opts.exchange;
-  base.pdr_workers = opts.pdr_workers;
   base.pdr_ternary_lifting = opts.pdr_ternary;
   base.pdr_seed_candidates = opts.seed_candidates;
   base.pdr_candidate_strikes = opts.pdr_strikes;
@@ -484,7 +477,6 @@ int run_task(flow::VerificationTask& task, const CliOptions& opts) {
   options.review.sim_screen = opts.sim_screen;
   options.target_engine = opts.engine;
   options.exchange = opts.exchange;
-  options.pdr_workers = opts.pdr_workers;
   options.pdr_ternary = opts.pdr_ternary;
   options.pdr_seed_candidates = opts.seed_candidates;
   options.pdr_candidate_strikes = opts.pdr_strikes;

@@ -15,12 +15,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 
 #include "serve/server.hpp"
 #include "util/log.hpp"
 #include "util/status.hpp"
+#include "util/strings.hpp"
 #include "util/telemetry.hpp"
 
 namespace {
@@ -78,6 +80,15 @@ ServeCliOptions parse_args(int argc, char** argv) {
       if (i + 1 >= argc) usage((std::string(flag) + " requires a value").c_str());
       return argv[++i];
     };
+    // Numeric flags: the whole token must be a number of the field's type.
+    const auto need_number = [&]<typename T>(const char* flag, T* out) {
+      const std::string value = need_value(flag);
+      const std::optional<T> parsed = genfv::util::parse_number<T>(value);
+      if (!parsed.has_value()) {
+        usage((std::string(flag) + " takes a number, got '" + value + "'").c_str());
+      }
+      *out = *parsed;
+    };
 
     if (arg == "--socket") opts.socket_path = need_value("--socket");
     else if (arg == "--workers") {
@@ -86,8 +97,11 @@ ServeCliOptions parse_args(int argc, char** argv) {
         const unsigned hw = std::thread::hardware_concurrency();
         opts.server.workers = hw > 1 ? hw / 2 : 1;
       } else {
-        opts.server.workers = std::stoull(value);
-        if (opts.server.workers == 0) usage("--workers takes a count >= 1 or 'auto'");
+        const auto workers = genfv::util::parse_number<std::size_t>(value);
+        if (!workers.has_value() || *workers == 0) {
+          usage("--workers takes a count >= 1 or 'auto'");
+        }
+        opts.server.workers = *workers;
       }
     }
     else if (arg == "--cache") {
@@ -98,14 +112,12 @@ ServeCliOptions parse_args(int argc, char** argv) {
     }
     else if (arg == "--cache-dir") opts.server.cache_dir = need_value("--cache-dir");
     else if (arg == "--near-threshold") {
-      opts.server.near_threshold = std::stod(need_value("--near-threshold"));
+      need_number("--near-threshold", &opts.server.near_threshold);
       if (opts.server.near_threshold <= 0.0 || opts.server.near_threshold > 1.0) {
         usage("--near-threshold takes a fraction in (0, 1]");
       }
     }
-    else if (arg == "--max-k") {
-      opts.server.default_max_steps = std::stoull(need_value("--max-k"));
-    }
+    else if (arg == "--max-k") need_number("--max-k", &opts.server.default_max_steps);
     else if (arg == "--engine") opts.server.default_engine = need_value("--engine");
     else if (arg == "--metrics-out") opts.metrics_out_path = need_value("--metrics-out");
     else if (arg == "--verbose") opts.verbose = true;
