@@ -194,7 +194,8 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
 
 /// The proof-cache experiment behind genfv_serve (docs/serve.md): for every
 /// zoo design PDR proves at its budget, compare a cold run against (a) an
-/// exact cache hit replayed through one-step recertification and (b) a
+/// exact cache hit replayed through goal-by-goal recertification
+/// (mc::certify_invariant) and (b) a
 /// near-miss warm start on an edited copy of the design, where the cached
 /// clauses enter PDR as retractable candidates. Rows carry kind="pdr-cache"
 /// so the PDR lifting/inprocessing reports in
@@ -265,8 +266,9 @@ void run_cache_experiment(bench::JsonRecords* json) {
          stored ? "stored" : "store-failed", 1.0);
 
     // Warm, unmodified: a fresh elaboration of the same design must be an
-    // exact hit, and the stored invariant must recertify in one induction
-    // step — that conflict gap is the cache's reason to exist.
+    // exact hit, and the stored invariant must recertify goal by goal
+    // (initiation, then one consecution query per target and clause) —
+    // that conflict gap is the cache's reason to exist.
     auto warm = designs::make_task(source.name);
     const auto hit = cache.lookup(warm.ts, warm.target_exprs());
     if (hit.outcome == serve::CacheOutcome::Exact) {
@@ -302,8 +304,8 @@ void run_cache_experiment(bench::JsonRecords* json) {
 
   std::printf("%s\n", table.to_string().c_str());
   std::printf("The warm rows answer from the cache: an exact hit trades the "
-              "whole IC3 frame trajectory for a single induction check over "
-              "the stored clauses, and the edited-design rows show those same "
+              "whole IC3 frame trajectory for a goal-by-goal inductiveness "
+              "check of the stored clauses, and the edited-design rows show those same "
               "clauses surviving a source edit as seeded candidates.\n\n");
 }
 

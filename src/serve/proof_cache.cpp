@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "mc/certify.hpp"
 #include "mc/pdr/cube.hpp"
 #include "util/status.hpp"
 #include "util/telemetry.hpp"
@@ -333,9 +334,9 @@ CacheEntry ProofCache::parse_entry(const std::string& text) {
 
 mc::EngineResult recertify(const ir::TransitionSystem& ts,
                            const std::vector<ir::NodeRef>& targets,
-                           const CacheEntry& entry, const mc::EngineOptions& base) {
-  std::vector<ir::NodeRef> goals = targets;
-  goals.reserve(targets.size() + entry.clauses.size());
+                           const CacheEntry& entry, const mc::EngineOptions& options) {
+  std::vector<ir::NodeRef> clauses;
+  clauses.reserve(entry.clauses.size());
   for (const auto& clause : entry.clauses) {
     const ir::NodeRef expr = mc::materialize(clause, ts);
     if (expr == nullptr) {
@@ -345,18 +346,9 @@ mc::EngineResult recertify(const ir::TransitionSystem& ts,
       failed.verdict = mc::Verdict::Unknown;
       return failed;
     }
-    goals.push_back(expr);
+    clauses.push_back(expr);
   }
-  // One-step induction over targets ∧ clauses: init ⊨ all, and all at frame
-  // k force all at frame k+1 — the textbook inductive-invariant check,
-  // discharged by an independent SAT run over the *current* system.
-  mc::EngineOptions options = base;
-  options.max_steps = 1;
-  options.lemmas.clear();
-  options.pdr_candidate_lemmas.clear();
-  options.pdr_seed_candidates = false;
-  const auto engine = mc::make_engine(mc::EngineKind::KInduction, ts, options);
-  return engine->prove_all(goals);
+  return mc::certify_invariant(ts, targets, clauses, options);
 }
 
 std::vector<ir::NodeRef> surviving_clauses(const ir::TransitionSystem& ts,

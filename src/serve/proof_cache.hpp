@@ -15,11 +15,12 @@
 /// Soundness story (the part that makes a *persistent* cache safe):
 /// **cached invariants are candidates, never facts.**
 ///  * An **exact hit** (system and property hash both match) replays the
-///    stored clauses through a one-step induction check over the *current*
-///    system (`recertify`) — an independent SAT proof that the conjunction
-///    is inductive and implies the targets. Only a passing check yields the
-///    cached verdict; a failing one (corrupted entry, hash collision)
-///    rejects the entry and falls back to a cold run.
+///    stored clauses through `recertify`: initiation and goal-by-goal
+///    consecution of targets ∧ clauses over the *current* system
+///    (`mc::certify_invariant`) — an independent SAT proof that the
+///    conjunction is inductive and implies the targets. Only a passing check
+///    yields the cached verdict; a failing one (corrupted entry, hash
+///    collision) rejects the entry and falls back to a cold run.
 ///  * A **near miss** (state-signature similarity above the threshold)
 ///    feeds the surviving clause subset into PDR's *candidate* ("may") path
 ///    (`EngineOptions::pdr_candidate_lemmas`), where a wrong clause can cost
@@ -130,15 +131,18 @@ class ProofCache {
 };
 
 /// Independent re-certification of a cached invariant over the *current*
-/// system: materialize every clause into `ts`'s manager and run a one-step
-/// induction (`KInduction`, max_steps = 1) on targets ∧ clauses. Returns the
-/// engine result — Proven means the cached verdict is re-established by a
-/// fresh SAT proof; anything else means the entry must be rejected. Clauses
-/// that do not fit `ts` (state index out of range) fail the certification
-/// immediately rather than being silently dropped.
+/// system: materialize every clause into `ts`'s manager, then check
+/// initiation and consecution of targets ∧ clauses goal by goal
+/// (`mc::certify_invariant`, which reads only the stop flag, conflict budget
+/// and SAT settings of `options`). Returns the check's result — Proven means
+/// the cached verdict is re-established by a fresh SAT proof; anything else
+/// means the entry must be rejected, unless the stop flag cut the check
+/// short. Clauses that do not fit `ts` (state index out of range) fail the
+/// certification immediately, with no SAT call, rather than being silently
+/// dropped.
 mc::EngineResult recertify(const ir::TransitionSystem& ts,
                            const std::vector<ir::NodeRef>& targets,
-                           const CacheEntry& entry, const mc::EngineOptions& base);
+                           const CacheEntry& entry, const mc::EngineOptions& options);
 
 /// Materialize the subset of `entry.clauses` that still fits `ts` — the
 /// near-miss warm-start payload for `EngineOptions::pdr_candidate_lemmas`.

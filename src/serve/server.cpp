@@ -180,6 +180,7 @@ void Server::dispatch(const Json& request, const Sink& send) {
     response.set("answered", jobs_answered());
     response.set("cancelled", stats.cancelled);
     response.set("deadlined", stats.deadlined);
+    response.set("idle_sessions", static_cast<std::uint64_t>(idle_session_count()));
     response.set("cache_size", static_cast<std::uint64_t>(cache_.size()));
     response.set("cache_hits", cache_hits());
     response.set("cache_near_hits", cache_near_hits());
@@ -207,10 +208,12 @@ std::shared_ptr<flow::EngineSession> Server::checkout_session(const std::string&
                                                               const Json& request) {
   {
     util::MutexLock lock(sessions_mu_);
-    auto it = idle_sessions_.find(key);
-    if (it != idle_sessions_.end() && !it->second.empty()) {
-      auto session = std::move(it->second.back());
+    const auto it = idle_sessions_.find(key);
+    if (it != idle_sessions_.end()) {
+      auto session = std::move(it->second.back().session);
       it->second.pop_back();
+      if (it->second.empty()) idle_sessions_.erase(it);
+      --idle_count_;
       util::metrics().counter("serve.sessions.reused").increment();
       return session;
     }
@@ -293,8 +296,26 @@ std::shared_ptr<flow::EngineSession> Server::checkout_session(const std::string&
 
 void Server::return_session(const std::string& key,
                             std::shared_ptr<flow::EngineSession> session) {
+  std::shared_ptr<flow::EngineSession> evicted;  // freed after the lock drops
   util::MutexLock lock(sessions_mu_);
-  idle_sessions_[key].push_back(std::move(session));
+  idle_sessions_[key].push_back(IdleSession{returns_++, std::move(session)});
+  if (++idle_count_ <= kMaxIdleSessions) return;
+  // Over the cap: evict the session returned least recently. Each key's
+  // list is in return order, so only the list fronts compete.
+  auto oldest = idle_sessions_.begin();
+  for (auto it = idle_sessions_.begin(); it != idle_sessions_.end(); ++it) {
+    if (it->second.front().returned < oldest->second.front().returned) oldest = it;
+  }
+  evicted = std::move(oldest->second.front().session);
+  oldest->second.erase(oldest->second.begin());
+  if (oldest->second.empty()) idle_sessions_.erase(oldest);
+  --idle_count_;
+  util::metrics().counter("serve.sessions.evicted").increment();
+}
+
+std::size_t Server::idle_session_count() const {
+  util::MutexLock lock(sessions_mu_);
+  return idle_count_;
 }
 
 void Server::handle_verify(const Json& request, const std::string& id_text,

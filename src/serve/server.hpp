@@ -29,7 +29,10 @@
 /// 'properties' list) plus the 'property' filter. Sessions move between
 /// threads but are only ever *used* by one job at a time (the checkout
 /// hand-off is the synchronization point); concurrent jobs on one source
-/// each get their own session.
+/// each get their own session. The pool holds at most `kMaxIdleSessions`
+/// sessions across all keys and drops the one returned least recently past
+/// that: every distinct RTL payload is its own key, so without a cap each
+/// edit a client ever sent would keep its elaborated NodeManager resident.
 
 #include <atomic>
 #include <cstdint>
@@ -101,6 +104,9 @@ class Server {
     return shutting_down_.load(std::memory_order_relaxed);
   }
 
+  /// Idle sessions kept across all pool keys (see the file comment).
+  static constexpr std::size_t kMaxIdleSessions = 64;
+
   ProofCache& cache() noexcept { return cache_; }
   WorkerPool& pool() noexcept { return pool_; }
 
@@ -128,6 +134,8 @@ class Server {
   std::shared_ptr<flow::EngineSession> checkout_session(const std::string& key,
                                                         const Json& request);
   void return_session(const std::string& key, std::shared_ptr<flow::EngineSession> session);
+  /// Sessions currently idle in the pool (status op).
+  std::size_t idle_session_count() const;
 
   const ServerOptions options_;
   ProofCache cache_;
@@ -137,9 +145,17 @@ class Server {
   std::atomic<std::uint64_t> near_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> answered_{0};
-  util::Mutex sessions_mu_{"serve.sessions"};
-  std::map<std::string, std::vector<std::shared_ptr<flow::EngineSession>>> idle_sessions_
+  struct IdleSession {
+    std::uint64_t returned = 0;  ///< return order: eviction drops the lowest
+    std::shared_ptr<flow::EngineSession> session;
+  };
+
+  mutable util::Mutex sessions_mu_{"serve.sessions"};
+  /// Per key in return order; a key with no idle session has no entry.
+  std::map<std::string, std::vector<IdleSession>> idle_sessions_
       GENFV_GUARDED_BY(sessions_mu_);
+  std::size_t idle_count_ GENFV_GUARDED_BY(sessions_mu_) = 0;
+  std::uint64_t returns_ GENFV_GUARDED_BY(sessions_mu_) = 0;
 };
 
 }  // namespace genfv::serve

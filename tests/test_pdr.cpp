@@ -4,15 +4,19 @@
 /// SVA printer round-trip), the FrameDb/QueryContext layering (epoch sync,
 /// solver rebuilds, the pinned legacy trajectory), ternary-simulation cube
 /// lifting,
-/// candidate-lemma frame seeding under the may-proof discipline, and the
-/// uniform mc::Engine interface.
+/// candidate-lemma frame seeding under the may-proof discipline, the
+/// uniform mc::Engine interface, and mc::certify_invariant checked against
+/// monolithic one-step induction on PDR's invariants and their mutations.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <string>
 
 #include "designs/design.hpp"
+#include "mc/certify.hpp"
 #include "mc/engine.hpp"
 #include "mc/kinduction.hpp"
 #include "mc/pdr/context.hpp"
@@ -27,6 +31,7 @@
 #include "sim/interpreter.hpp"
 #include "sva/compiler.hpp"
 #include "sva/parser.hpp"
+#include "util/rng.hpp"
 #include "util/status.hpp"
 
 namespace genfv::mc::pdr {
@@ -451,7 +456,11 @@ constexpr LegacyExpectation kLegacyRegistry[] = {
     {"lfsr16", Verdict::Unknown, 12, false},
     {"token_ring", Verdict::Proven, 5, false},
     {"sequencer", Verdict::Proven, 4, false},
-    {"dual_accumulator", Verdict::Proven, 4, true},
+    // Recorded at depth 4 before SAT inprocessing: turning it on by default
+    // changed the solver's models and so the frame trajectory, and the
+    // engine now closes at depth 3 in well under a second. With
+    // sat_inprocess = false it still reaches the recorded depth 4 (minutes).
+    {"dual_accumulator", Verdict::Proven, 3, true},
     {"fifo_ctrl", Verdict::Unknown, 12, false},
     {"parity_codec", Verdict::Proven, 2, false},
     {"hamming74", Verdict::Proven, 2, false},
@@ -1096,6 +1105,147 @@ TEST(EngineInterface, BmcNeverProves) {
   const NodeRef prop = nm.mk_ule(nm.mk_const(0, 4), ts.lookup("count"));  // trivially true
   auto engine = mc::make_engine(EngineKind::Bmc, ts, {.max_steps = 4});
   EXPECT_EQ(engine->prove(prop).verdict, Verdict::Unknown);
+}
+
+// --- independent invariant certification (mc::certify_invariant) -----------
+
+/// The monolithic reference check: one-step k-induction over targets ∧
+/// invariant, the way the proof cache recertified before certify_invariant.
+Verdict monolithic_verdict(const ir::TransitionSystem& ts,
+                           const std::vector<NodeRef>& targets,
+                           const std::vector<NodeRef>& invariant) {
+  std::vector<NodeRef> goals = targets;
+  goals.insert(goals.end(), invariant.begin(), invariant.end());
+  mc::EngineOptions options;
+  options.max_steps = 1;
+  return mc::make_engine(mc::EngineKind::KInduction, ts, options)->prove_all(goals).verdict;
+}
+
+/// A zoo design with the invariant PDR exports for it at max_steps = 8.
+struct CertifiedDesign {
+  flow::VerificationTask task;
+  std::vector<NodeRef> invariant;
+};
+
+CertifiedDesign pdr_invariant(const std::string& name) {
+  CertifiedDesign out{designs::make_task(name), {}};
+  mc::EngineOptions options;
+  options.max_steps = 8;
+  const mc::EngineResult result =
+      mc::make_engine(mc::EngineKind::Pdr, out.task.ts, options)
+          ->prove_all(out.task.target_exprs());
+  if (result.verdict == Verdict::Proven) out.invariant = result.invariant;
+  return out;
+}
+
+TEST(Certify, AgreesWithMonolithicInductionOnZooInvariantsAndMutations) {
+  // Every invariant PDR exports on the zoo, plus seeded mutations of each —
+  // one clause dropped, one literal flipped, contradictory unit clauses
+  // added — must get the monolithic check's verdict from the per-goal one.
+  util::Xoshiro256 rng(13);
+  std::size_t designs_checked = 0;
+  std::size_t rejected = 0;
+  for (const designs::DesignInfo& info : designs::all_designs()) {
+    const CertifiedDesign proven = pdr_invariant(info.name);
+    if (proven.invariant.empty()) continue;
+    ++designs_checked;
+    const ir::TransitionSystem& ts = proven.task.ts;
+    const std::vector<NodeRef> targets = proven.task.target_exprs();
+    std::vector<Cube> cubes;
+    for (const NodeRef clause : proven.invariant) {
+      const auto cube = cube_of_clause(ts, clause);
+      ASSERT_TRUE(cube.has_value()) << info.name;
+      cubes.push_back(*cube);
+    }
+
+    std::vector<std::vector<Cube>> variants{cubes};
+    for (int round = 0; round < 3; ++round) {
+      std::vector<Cube> dropped = cubes;
+      dropped.erase(dropped.begin() +
+                    static_cast<std::ptrdiff_t>(rng.below(dropped.size())));
+      variants.push_back(std::move(dropped));
+      std::vector<Cube> flipped = cubes;
+      Cube& cube = flipped[rng.below(flipped.size())];
+      StateLit& lit = cube[rng.below(cube.size())];
+      lit.negated = !lit.negated;
+      variants.push_back(std::move(flipped));
+    }
+    std::vector<Cube> contradictory = cubes;
+    contradictory.push_back(Cube{StateLit{0, 0, false}});
+    contradictory.push_back(Cube{StateLit{0, 0, true}});
+    variants.push_back(std::move(contradictory));
+
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      std::vector<NodeRef> invariant;
+      for (const Cube& cube : variants[v]) invariant.push_back(clause_expr(ts, cube));
+      const Verdict expected = monolithic_verdict(ts, targets, invariant);
+      const mc::EngineResult certified =
+          certify_invariant(ts, targets, invariant, mc::EngineOptions{});
+      EXPECT_EQ(certified.verdict, expected) << info.name << " variant " << v;
+      EXPECT_GT(certified.stats.sat_calls, 0u) << info.name << " variant " << v;
+      if (v == 0) EXPECT_EQ(expected, Verdict::Proven) << info.name;
+      if (expected != Verdict::Proven) ++rejected;
+    }
+  }
+  // Neither half may be vacuous: several zoo proofs, and mutations that fail.
+  EXPECT_GE(designs_checked, 4u);
+  EXPECT_GT(rejected, designs_checked);
+}
+
+TEST(Certify, FailedObligationsCarryTheirTraces) {
+  // Even counter: "bit 0 is clear" is inductive, "bit 0 is set" fails at the
+  // initial state 0.
+  const ir::TransitionSystem even = stride_counter(4, 2);
+  const NodeRef bit0_clear = clause_expr(even, Cube{StateLit{0, 0, false}});
+  const NodeRef bit0_set = clause_expr(even, Cube{StateLit{0, 0, true}});
+  EXPECT_EQ(certify_invariant(even, {bit0_clear}, {}, mc::EngineOptions{}).verdict,
+            Verdict::Proven);
+  const mc::EngineResult init_fail =
+      certify_invariant(even, {}, {bit0_clear, bit0_set}, mc::EngineOptions{});
+  EXPECT_EQ(init_fail.verdict, Verdict::Falsified);
+  ASSERT_TRUE(init_fail.cex.has_value());
+  EXPECT_EQ(init_fail.cex->size(), 1u);
+
+  // Unit-step counter: "bit 0 is clear" holds initially, not one step later.
+  const ir::TransitionSystem odd = stride_counter(4, 1);
+  const mc::EngineResult step_fail = certify_invariant(
+      odd, {clause_expr(odd, Cube{StateLit{0, 0, false}})}, {}, mc::EngineOptions{});
+  EXPECT_EQ(step_fail.verdict, Verdict::Unknown);
+  EXPECT_FALSE(step_fail.cex.has_value());
+  ASSERT_TRUE(step_fail.step_cex.has_value());
+  EXPECT_EQ(step_fail.step_cex->size(), 2u);
+}
+
+TEST(Certify, StopFlagSetInAdvanceRunsNoQuery) {
+  const CertifiedDesign proven = pdr_invariant("sequencer");
+  ASSERT_FALSE(proven.invariant.empty());
+  mc::EngineOptions options;
+  options.stop = std::make_shared<std::atomic<bool>>(true);
+  const mc::EngineResult result = certify_invariant(
+      proven.task.ts, proven.task.target_exprs(), proven.invariant, options);
+  EXPECT_NE(result.verdict, Verdict::Proven);
+  EXPECT_EQ(result.stats.sat_calls, 0u);
+}
+
+TEST(Certify, ConflictBudgetCapsTheWholeRun) {
+  const CertifiedDesign proven = pdr_invariant("dual_accumulator");
+  ASSERT_FALSE(proven.invariant.empty());
+  const ir::TransitionSystem& ts = proven.task.ts;
+  const std::vector<NodeRef> targets = proven.task.target_exprs();
+  const mc::EngineResult full =
+      certify_invariant(ts, targets, proven.invariant, mc::EngineOptions{});
+  ASSERT_EQ(full.verdict, Verdict::Proven);
+
+  // Half of what the full check needs: no single goal query needs that
+  // much, so only a budget shared by the whole run stops the check.
+  mc::EngineOptions options;
+  options.conflict_budget = static_cast<std::int64_t>(full.stats.conflicts / 2);
+  const mc::EngineResult capped = certify_invariant(ts, targets, proven.invariant, options);
+  EXPECT_EQ(capped.verdict, Verdict::Unknown);
+  EXPECT_LT(capped.stats.sat_calls, full.stats.sat_calls);
+  // The solver checks its budget between decisions, so the last query may
+  // overrun it by a few conflicts.
+  EXPECT_LE(capped.stats.conflicts, full.stats.conflicts / 2 + 8);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 /// saturation / cancellation / deadlines / graceful drain, proof-cache
 /// soundness (independent re-certification, corruption rejection, persistence
 /// across processes), the cold-vs-warm zoo sweep, the end-to-end
-/// incremental-reverification path, and a concurrent-client stress test that
-/// rides the TSan `*MultiWorker*` CI filter.
+/// incremental-reverification path, the idle-session cap, and a
+/// concurrent-client stress test; the session-cap and concurrent-client
+/// suites ride the TSan CI filter.
 
 #include <gtest/gtest.h>
 
@@ -31,6 +32,7 @@
 #include "serve/server.hpp"
 #include "serve/worker_pool.hpp"
 #include "util/status.hpp"
+#include "util/telemetry.hpp"
 #include "util/thread_safety.hpp"
 
 namespace genfv::serve {
@@ -261,7 +263,7 @@ TEST(ServeProtocol, VerifyStatusShutdownRoundTrip) {
   EXPECT_EQ(string_field(warm, "cache"), "hit");
   EXPECT_EQ(string_field(warm, "engine"), "cache+recertify");
   EXPECT_EQ(number_field(warm, "depth"), cold_depth);
-  // The re-certification is one induction check, not a full proof.
+  // The re-certification checks one induction step per goal, not a full proof.
   EXPECT_LT(number_field(warm, "sat_calls"), number_field(cold, "sat_calls"));
 
   // Opting out of the cache is per-request.
@@ -777,7 +779,7 @@ TEST(ServeCache, InterruptedRecertificationNeverDestroysTheEntry) {
   ASSERT_EQ(string_field(log.wait_for("\"cold\""), "verdict"), "proven");
   ASSERT_EQ(server.cache().size(), 1u);
 
-  // Jobs whose deadline trips mid-recertification fail the induction check
+  // Jobs whose deadline trips mid-recertification fail the inductiveness check
   // through the stop flag, not on the merits: an interrupted check is not a
   // refutation and must not invalidate the persisted proof. The deadline
   // spread brackets the sub-millisecond recertification window; whether a
@@ -956,6 +958,73 @@ TEST(ServeSocket, HungUpClientsAreReapedNotLeaked) {
 
   server.begin_shutdown();
   transport.join();
+}
+
+// --- idle session pool (TSan rides the ServeSessions filter) ----------------
+
+TEST(ServeSessions, IdlePoolIsCappedAndEvictsTheLeastRecentlyReturned) {
+  ServerOptions options;
+  options.workers = 2;  // sessions come back from both worker threads
+  ResponseLog log;      // outlives the server: ~Server drains jobs into the sink
+  Server server(options);
+
+  const designs::DesignInfo& info = designs::design_by_name("sequencer");
+  JsonArray properties;
+  for (const flow::TargetSpec& target : info.targets) {
+    Json p;
+    p.set("name", target.name);
+    p.set("sva", target.sva);
+    properties.push_back(p);
+  }
+  int next_id = 0;
+  const auto verify = [&](Json request) {
+    const std::string id = "v" + std::to_string(next_id++);
+    request.set("id", id);
+    request.set("op", "verify");
+    request.set("max_k", 16);
+    server.handle_line(request.dump(), log.sink());
+    // The session is back in the pool before the response is sent.
+    const Json response = log.wait_for("\"" + id + "\"");
+    EXPECT_EQ(string_field(response, "verdict"), "proven") << response.dump();
+  };
+  Json named;
+  named.set("design", "sequencer");
+  const auto counter = [](const char* name) {
+    return util::metrics().counter(name).value();
+  };
+  const std::uint64_t evicted_before = counter("serve.sessions.evicted");
+
+  const auto payload = [&](std::size_t i) {
+    Json edited;
+    edited.set("rtl", info.rtl + "// payload " + std::to_string(i) + "\n");
+    edited.set("properties", Json(properties));
+    return edited;
+  };
+  // More distinct RTL payloads than the pool holds, each its own pool key.
+  // Every tenth job resubmits the named design, so its session is never
+  // the least recently returned one.
+  const std::size_t payloads = Server::kMaxIdleSessions + 16;
+  for (std::size_t i = 0; i < payloads; ++i) {
+    if (i % 10 == 0) verify(named);
+    verify(payload(i));
+  }
+
+  server.handle_line(R"({"id":"s","op":"status"})", log.sink());
+  EXPECT_EQ(number_field(log.wait_for("\"s\""), "idle_sessions"),
+            static_cast<double>(Server::kMaxIdleSessions));
+  // payloads + 1 sessions were elaborated; all but the cap were dropped.
+  EXPECT_EQ(counter("serve.sessions.evicted") - evicted_before,
+            payloads + 1 - Server::kMaxIdleSessions);
+
+  // The named design and the newest payload are still pooled; the first
+  // payload, returned least recently, was evicted and elaborates afresh.
+  const std::uint64_t reused_before = counter("serve.sessions.reused");
+  verify(named);
+  verify(payload(payloads - 1));
+  EXPECT_EQ(counter("serve.sessions.reused"), reused_before + 2);
+  const std::uint64_t created_before = counter("serve.sessions.created");
+  verify(payload(0));
+  EXPECT_EQ(counter("serve.sessions.created"), created_before + 1);
 }
 
 // --- concurrent clients (TSan rides the *MultiWorker* filter) ----------------
