@@ -167,7 +167,6 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
             .field("conflicts", r.stats.conflicts)
             .field("learnt_clauses", r.stats.learnt_clauses)
             .field("retired_gates", r.stats.retired_gates)
-            .field("solver_rebuilds", r.stats.solver_rebuilds)
             .field("lifted_bits", r.stats.lifted_bits)
             .field("inprocessings", r.stats.inprocessings)
             .field("subsumed_clauses", r.stats.subsumed_clauses)
@@ -179,8 +178,7 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
               .field("propagate_ms", delta_ms("pdr.propagate_ns"))
               .field("may_proof_ms", delta_ms("pdr.may_proof_ns"))
               .field("push_infinity_ms", delta_ms("pdr.push_infinity_ns"))
-              .field("sat_solve_ms", delta_ms("sat.solve_ns"))
-              .field("framedb_wait_ms", delta_ms("pdr.framedb_mutex_wait_ns"));
+              .field("sat_solve_ms", delta_ms("sat.solve_ns"));
         }
       }
     }

@@ -13,7 +13,11 @@ machines are too noisy for timing assertions.
 With a second argument — a committed trajectory snapshot such as
 BENCH_PR5.json (see docs/benchmarks.md) — every (design, engine) cell
 present in both files must additionally agree on its verdict, so a fresh
-run can never silently drift from the checked-in trajectory.
+run can never silently drift from the checked-in trajectory. The
+single-engine cells (bmc, k-induction, pdr*, pdr-cache) run one
+deterministic worker, so their `sat_calls` and `conflicts` are exact: any
+rise over the snapshot fails too. Portfolio cells race threads and are
+exempt from the counter gate.
 """
 
 import json
@@ -108,18 +112,28 @@ def main() -> int:
     # alongside such a change), not silently vacate the gate.
     if len(sys.argv) == 3:
         with open(sys.argv[2], encoding="utf-8") as f:
-            baseline = {(r["design"], r["engine"]): r["verdict"] for r in json.load(f)}
+            baseline = {(r["design"], r["engine"]): r for r in json.load(f)}
         fresh_keys = {(r["design"], r["engine"]) for r in records}
         compared = 0
+        counter_gated = 0
         for record in records:
             key = (record["design"], record["engine"])
             if key not in baseline:
                 continue
             compared += 1
-            if record["verdict"] != baseline[key]:
+            base = baseline[key]
+            if record["verdict"] != base["verdict"]:
                 failures.append(
                     f"{key[0]} / {key[1]}: baseline {sys.argv[2]} says "
-                    f"{baseline[key]}, this run says {record['verdict']}")
+                    f"{base['verdict']}, this run says {record['verdict']}")
+            if record["kind"] == "portfolio":
+                continue
+            counter_gated += 1
+            for counter in ("sat_calls", "conflicts"):
+                if record[counter] > base[counter]:
+                    failures.append(
+                        f"{key[0]} / {key[1]}: {counter} rose from "
+                        f"{base[counter]} ({sys.argv[2]}) to {record[counter]}")
         for key in sorted(baseline.keys() - fresh_keys):
             failures.append(
                 f"{key[0]} / {key[1]}: in baseline {sys.argv[2]} but missing "
@@ -127,7 +141,8 @@ def main() -> int:
         if compared == 0:
             failures.append(
                 f"baseline {sys.argv[2]} shares no cells with this run")
-        print(f"baseline diff vs {sys.argv[2]}: {compared} cells compared")
+        print(f"baseline diff vs {sys.argv[2]}: {compared} cells compared, "
+              f"{counter_gated} counter-gated")
 
     # Report (never gate) the ternary-lifting ablation.
     lift_cells = {}
@@ -240,11 +255,11 @@ def main() -> int:
                 f"on only {warm_wins} design(s) (gate: >= 2)")
 
     if failures:
-        print("\nverdict regressions:", file=sys.stderr)
+        print("\nregressions:", file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    print(f"{len(records)} records, no verdict regressions")
+    print(f"{len(records)} records, no regressions")
     return 0
 
 

@@ -5,10 +5,13 @@
 # Two halves, both mandatory:
 #   1. Positive: every TU under src/ and tools/ compiles clean with
 #      -Werror=thread-safety over the util/thread_safety.hpp annotations.
-#   2. Negative: the GENFV_TSA_NEGATIVE_TEST probe in mc/pdr/frame_db.hpp —
-#      an unguarded read of a GENFV_GUARDED_BY field — must FAIL to compile.
-#      This proves the analysis has teeth; without it, a header regression
-#      that silently disables the attributes would leave half 1 green forever.
+#   2. Negative: the GENFV_TSA_NEGATIVE_TEST probe in mc/exchange.hpp — an
+#      unguarded read of a GENFV_GUARDED_BY field of LemmaMailbox, which
+#      portfolio threads share — must FAIL to compile, and fail with a
+#      -Wthread-safety diagnostic. This proves the analysis has teeth;
+#      without it, a header regression that silently disables the attributes
+#      would leave half 1 green forever. A probe that fails for any other
+#      reason (a typo, a missing include) tests nothing and is refused.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -34,11 +37,18 @@ if [ "$status" -ne 0 ]; then
 fi
 echo "thread-safety: all TUs clean under -Werror=thread-safety"
 
-# Negative probe: compiling the guarded-field read without the lock MUST fail.
-if "$CXX" "${FLAGS[@]}" -DGENFV_TSA_NEGATIVE_TEST \
-    src/mc/pdr/frame_db.cpp 2>/dev/null; then
+# Negative probe: compiling the guarded-field read without the lock MUST fail,
+# and the thread-safety analysis must be what rejects it.
+if probe_err=$("$CXX" "${FLAGS[@]}" -DGENFV_TSA_NEGATIVE_TEST \
+    src/mc/exchange.cpp 2>&1); then
   echo "thread-safety: NEGATIVE PROBE COMPILED — analysis is toothless" >&2
-  echo "(tsa_probe_unguarded in mc/pdr/frame_db.hpp should be an error)" >&2
+  echo "(tsa_probe_unguarded in mc/exchange.hpp should be an error)" >&2
   exit 1
 fi
-echo "thread-safety: negative probe rejected as expected"
+if ! grep -q -- '-Wthread-safety' <<<"$probe_err"; then
+  echo "thread-safety: negative probe failed for a reason other than" >&2
+  echo "-Wthread-safety, so it tested nothing:" >&2
+  echo "$probe_err" >&2
+  exit 1
+fi
+echo "thread-safety: negative probe rejected by -Wthread-safety as expected"

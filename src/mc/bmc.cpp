@@ -13,12 +13,13 @@ BmcResult BmcEngine::check(ir::NodeRef property) {
   util::Stopwatch watch;
   BmcResult result;
 
-  const std::unique_ptr<sat::Backend> solver_ptr = sat::make_backend(options_.sat_backend);
+  const std::unique_ptr<sat::Backend> solver_ptr =
+      sat::make_backend({.backend = options_.sat_backend,
+                         .conflict_budget = options_.conflict_budget,
+                         .stop = options_.stop.get(),
+                         .inprocess = options_.sat_inprocess,
+                         .drat_path = options_.drat_path});
   sat::Backend& solver = *solver_ptr;
-  solver.set_conflict_budget(options_.conflict_budget);
-  solver.set_stop_flag(options_.stop.get());
-  solver.set_inprocessing(options_.sat_inprocess);
-  if (!options_.drat_path.empty()) solver.start_proof(options_.drat_path);
   Unroller unroller(ts_, solver);
   unroller.assert_init();
 

@@ -10,19 +10,6 @@
 
 namespace genfv::mc {
 
-namespace {
-
-std::unique_ptr<sat::Backend> make_solver(const EngineOptions& options,
-                                          const char* drat_suffix) {
-  std::unique_ptr<sat::Backend> solver = sat::make_backend(options.sat_backend);
-  solver->set_stop_flag(options.stop.get());
-  solver->set_inprocessing(options.sat_inprocess);
-  if (!options.drat_path.empty()) solver->start_proof(options.drat_path + drat_suffix);
-  return solver;
-}
-
-}  // namespace
-
 EngineResult certify_invariant(const ir::TransitionSystem& ts,
                                const std::vector<ir::NodeRef>& targets,
                                const std::vector<ir::NodeRef>& invariant,
@@ -35,8 +22,17 @@ EngineResult certify_invariant(const ir::TransitionSystem& ts,
   std::vector<ir::NodeRef> goals = targets;
   goals.insert(goals.end(), invariant.begin(), invariant.end());
 
-  const std::unique_ptr<sat::Backend> base_solver = make_solver(options, "_base");
-  const std::unique_ptr<sat::Backend> step_solver = make_solver(options, "_step");
+  // The conflict budget caps the whole run, not each solver: solve() below
+  // hands every query what is left of it.
+  auto make_solver = [&](const char* drat_suffix) {
+    return sat::make_backend(
+        {.backend = options.sat_backend,
+         .stop = options.stop.get(),
+         .inprocess = options.sat_inprocess,
+         .drat_path = options.drat_path.empty() ? "" : options.drat_path + drat_suffix});
+  };
+  const std::unique_ptr<sat::Backend> base_solver = make_solver("_base");
+  const std::unique_ptr<sat::Backend> step_solver = make_solver("_step");
 
   auto finish = [&](Verdict verdict) {
     result.verdict = verdict;

@@ -156,7 +156,6 @@ class PdrEngineAdapter final : public Engine {
     opts.exchange = options_.exchange_mailbox;
     opts.exchange_slot = options_.exchange_slot;
     opts.publish_frame_clauses = options_.exchange_frame_clauses;
-    opts.rebuild_gate_limit = options_.pdr_rebuild_gate_limit;
     opts.ternary_lifting = options_.pdr_ternary_lifting;
     opts.seed_candidates = options_.pdr_seed_candidates;
     opts.candidate_lemmas = options_.pdr_candidate_lemmas;

@@ -56,10 +56,6 @@ struct EngineOptions {
   bool simple_path = false;
   /// Best-effort SAT conflict cap per run; -1 = unlimited.
   std::int64_t conflict_budget = -1;
-  /// PDR only: rebuild a query context's transition solver in place after it
-  /// has retired this many one-shot activation gates (query litter). 0 (the
-  /// default) never rebuilds. See PdrOptions::rebuild_gate_limit.
-  std::size_t pdr_rebuild_gate_limit = 0;
   /// PDR only: ternary-simulation cube lifting — shrink extracted
   /// predecessor / bad-state cubes before generalization. Off (the default)
   /// keeps the engine bit-for-bit legacy; on perturbs the frame trajectory
@@ -94,8 +90,8 @@ struct EngineOptions {
   bool sat_inprocess = true;
   /// When non-empty, SAT solvers log DRAT proofs under this path base
   /// (`<path>.cnf` + `<path>.drat`, engine-specific suffixes when one run
-  /// spawns several solvers). An UNSAT run's proof validates with
-  /// scripts/check_drat.py. Meant for single-engine runs.
+  /// spawns several solvers; portfolio members first append `-<engine>`).
+  /// An UNSAT run's proof validates with scripts/check_drat.py.
   std::string drat_path;
   /// PDR only: spurious-blocked offenses a candidate ("may") clause is
   /// allowed before retraction. See PdrOptions::candidate_strikes.

@@ -159,6 +159,15 @@ class LemmaMailbox {
   /// Total clauses on the board (all publishers).
   std::size_t size() const;
 
+#if defined(GENFV_TSA_NEGATIVE_TEST)
+  /// Negative-compile probe (scripts/check_thread_safety.sh): reads a
+  /// guarded field without taking mu_. MUST fail to compile under
+  /// -Werror=thread-safety — if it ever compiles, the annotation coverage
+  /// has rotted and the whole clang leg is vacuous. Never defined in real
+  /// builds.
+  std::size_t tsa_probe_unguarded() const { return entries_.size(); }
+#endif
+
  private:
   struct Entry {
     ExchangedClause clause;

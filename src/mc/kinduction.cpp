@@ -22,21 +22,21 @@ InductionResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& prop
   // earlier frames, making this *mutual* induction).
   const ir::NodeRef prop = conjoin_properties(ts_, properties);
 
-  const std::unique_ptr<sat::Backend> base_ptr = sat::make_backend(options_.sat_backend);
+  auto make_solver = [&](const char* drat_suffix) {
+    return sat::make_backend(
+        {.backend = options_.sat_backend,
+         .conflict_budget = options_.conflict_budget,
+         .stop = options_.stop.get(),
+         .inprocess = options_.sat_inprocess,
+         .drat_path = options_.drat_path.empty() ? "" : options_.drat_path + drat_suffix});
+  };
+  const std::unique_ptr<sat::Backend> base_ptr = make_solver("_base");
   sat::Backend& base_solver = *base_ptr;
-  base_solver.set_conflict_budget(options_.conflict_budget);
-  base_solver.set_stop_flag(options_.stop.get());
-  base_solver.set_inprocessing(options_.sat_inprocess);
-  if (!options_.drat_path.empty()) base_solver.start_proof(options_.drat_path + "_base");
   Unroller base(ts_, base_solver);
   base.assert_init();
 
-  const std::unique_ptr<sat::Backend> step_ptr = sat::make_backend(options_.sat_backend);
+  const std::unique_ptr<sat::Backend> step_ptr = make_solver("_step");
   sat::Backend& step_solver = *step_ptr;
-  step_solver.set_conflict_budget(options_.conflict_budget);
-  step_solver.set_stop_flag(options_.stop.get());
-  step_solver.set_inprocessing(options_.sat_inprocess);
-  if (!options_.drat_path.empty()) step_solver.start_proof(options_.drat_path + "_step");
   Unroller step(ts_, step_solver);  // no init: arbitrary start state
 
   // Invariants asserted on every materialized frame of both cases: the

@@ -7,28 +7,24 @@ namespace genfv::mc::pdr {
 
 QueryContext::QueryContext(const ir::TransitionSystem& ts, ir::NodeRef property,
                            const std::vector<ir::NodeRef>& lemmas,
-                           const PdrOptions& options, sat::SolverPool& pool, FrameDb& db)
-    : ts_(ts), options_(options), pool_(pool), db_(db), property_(property),
-      lemmas_(lemmas) {
-  solver_handle_ = pool_.acquire();
-  init_handle_ = pool_.acquire();
+                           const PdrOptions& options, FrameDb& db)
+    : ts_(ts), options_(options), db_(db), property_(property) {
+  sat::SolverConfig config{.backend = options_.sat_backend,
+                           .conflict_budget = options_.conflict_budget,
+                           .stop = options_.stop.get(),
+                           .inprocess = options_.sat_inprocess,
+                           .drat_path = options_.drat_path};
+  solver_ = sat::make_backend(config);
+  if (!config.drat_path.empty()) config.drat_path += "-p1";
+  init_solver_ = sat::make_backend(config);
 
-  // Initiation solver: frame 0 under init. Never rebuilt — intersects_init
-  // runs on assumptions only, so no gate litter ever accumulates here.
+  // Initiation solver: frame 0 under init. intersects_init runs on
+  // assumptions only, so no gate litter ever accumulates here.
   init_unr_ = std::make_unique<Unroller>(ts_, init_solver());
   init_unr_->assert_init();
-  for (const ir::NodeRef lemma : lemmas_) init_unr_->assert_at(lemma, 0);
+  for (const ir::NodeRef lemma : lemmas) init_unr_->assert_at(lemma, 0);
   init_prop_ = init_unr_->lit_at(property_, 0);
 
-  bootstrap();
-  sync();
-}
-
-bool QueryContext::stopped() const noexcept {
-  return options_.stop != nullptr && options_.stop->load(std::memory_order_relaxed);
-}
-
-void QueryContext::bootstrap() {
   unr_ = std::make_unique<Unroller>(ts_, solver());
 
   // Level-0 activation literal, gating the init-value equalities so the same
@@ -50,42 +46,27 @@ void QueryContext::bootstrap() {
 
   // Lemma seeding: proven invariants hold everywhere, i.e. they are clauses
   // of F_∞ and strengthen every frame of every query.
-  for (const ir::NodeRef lemma : lemmas_) {
+  for (const ir::NodeRef lemma : lemmas) {
     unr_->assert_at(lemma, 0);
     unr_->assert_at(lemma, 1);
   }
 
   prop0_ = unr_->lit_at(property_, 0);
+  sync();
 }
 
-void QueryContext::rebuild() {
-  GENFV_TRACE_SPAN("pdr", "context_rebuild");
-  // Snapshot first: the snapshot's epoch and contents are consistent, so the
-  // rebuilt mirror resumes syncing exactly where the snapshot ends.
-  const FrameDb::Snapshot snapshot = db_.snapshot();
-  pool_.rebuild(solver_handle_);
-  bootstrap();
-  may_.clear();  // the old gates died with the old solver
-  for (std::size_t level = 1; level < snapshot.levels.size(); ++level) {
-    activations_.push_back(new_gate());
-  }
-  for (std::size_t level = 1; level < snapshot.levels.size(); ++level) {
-    for (const Cube& cube : snapshot.levels[level]) assert_blocked(cube, level);
-  }
-  for (const Cube& cube : snapshot.infinity) assert_infinity(cube);
-  for (const FrameDb::MayClause& m : snapshot.may) assert_may(m.cube, m.id);
-  synced_epoch_ = snapshot.epoch;
-  retired_gates_since_rebuild_ = 0;
+sat::SolverStats QueryContext::stats() const {
+  sat::SolverStats total = solver_->stats();
+  total += init_solver_->stats();
+  return total;
+}
+
+bool QueryContext::stopped() const noexcept {
+  return options_.stop != nullptr && options_.stop->load(std::memory_order_relaxed);
 }
 
 void QueryContext::sync() {
-  if (options_.rebuild_gate_limit > 0 &&
-      retired_gates_since_rebuild_ >= options_.rebuild_gate_limit) {
-    rebuild();
-  }
-  std::vector<FrameDb::Event> events;
-  synced_epoch_ = db_.events_since(synced_epoch_, &events);
-  for (const FrameDb::Event& event : events) apply_event(event);
+  for (const FrameDb::Event& event : db_.take_events()) apply_event(event);
 }
 
 void QueryContext::apply_event(const FrameDb::Event& event) {
@@ -214,8 +195,8 @@ void QueryContext::retract_violated_candidates() {
     if (violated) hit.push_back(id);
   }
   // Strike through the database: sub-limit strikes are bookkeeping only; a
-  // repeat offender's RetractMay event replays into every mirror (including
-  // this one) at its next sync.
+  // repeat offender's RetractMay event replays into this mirror at its next
+  // sync.
   for (const std::size_t id : hit) db_.strike_may(id);
 }
 
@@ -334,8 +315,7 @@ sat::Lit QueryContext::new_gate() {
 
 void QueryContext::retire_gate(sat::Lit gate) {
   solver().add_clause(~gate);
-  ++retired_gates_since_rebuild_;
-  ++retired_gates_total_;
+  ++retired_gates_;
 }
 
 }  // namespace genfv::mc::pdr

@@ -1,31 +1,27 @@
 #pragma once
 
 /// \file context.hpp
-/// PDR query context: one transition solver + one initiation solver (both
-/// owned by a `sat::SolverPool`), their unrollers, the activation-literal
-/// ladder, and a lazily-synced mirror of the `FrameDb`.
+/// PDR query context: one transition solver + one initiation solver, their
+/// unrollers, the activation-literal ladder, and a lazily-synced mirror of
+/// the `FrameDb`.
 ///
 /// A context is the only place solver literals exist; everything above it
 /// (blocking, generalization, propagation, orchestration) trades in
 /// manager-neutral cubes. A context is not internally synchronized: one
 /// engine run owns it and drives it from one thread.
 ///
-/// FrameDb mirroring: `sync()` replays the database journal since the
-/// context's last synced epoch — level pushes allocate activation literals,
-/// blocked cubes become activation-gated clauses, graduations become
-/// ungated F_∞ clauses asserted at both solver frames. A mirror may lag the
-/// database between syncs; that only *weakens* the frame approximation a
-/// query sees, which is sound for every PDR query shape (a stale F_k is
-/// still an over-approximation of the states reachable in ≤ k steps).
+/// FrameDb mirroring: `sync()` drains the database's pending events — level
+/// pushes allocate activation literals, blocked cubes become
+/// activation-gated clauses, graduations become ungated F_∞ clauses
+/// asserted at both solver frames. The mirror may lag the database between
+/// syncs; that only *weakens* the frame approximation a query sees, which is
+/// sound for every PDR query shape (a stale F_k is still an
+/// over-approximation of the states reachable in ≤ k steps).
 ///
 /// Gate hygiene: finished blocking queries retire their activation gates as
-/// permanently-satisfied unit clauses. The context counts the litter and —
-/// when `PdrOptions::rebuild_gate_limit` is enabled — rebuilds its
-/// transition solver in place at the next `sync()`, re-encoding init,
-/// lemmas, the FrameDb clauses, F_∞ and the live may clauses from a
-/// consistent snapshot. The retired solver's statistics survive in the pool.
+/// permanently-satisfied unit clauses; the context counts the litter.
 ///
-/// Candidate ("may") clauses mirror through the same journal: SeedMay
+/// Candidate ("may") clauses mirror through the same events: SeedMay
 /// allocates a dedicated per-candidate gate and asserts the clause at frame
 /// 0 behind it; RetractMay retires that gate. Queries assume the live gates
 /// and apply the clean-rerun discipline (see relative_query), so no answer
@@ -42,21 +38,27 @@
 #include "mc/pdr/pdr.hpp"
 #include "mc/pdr/ternary.hpp"
 #include "mc/unroller.hpp"
-#include "sat/solver_pool.hpp"
+#include "sat/backend.hpp"
 
 namespace genfv::mc::pdr {
 
 class QueryContext {
  public:
-  /// `ts`, `property` and `lemmas` must all live in the same NodeManager
-  /// and outlive the context; so must `pool`, `db` and `options`.
+  /// `ts`, `property` and `lemmas` must all live in the same NodeManager;
+  /// `ts`, `property`, `db` and `options` must outlive the context. With
+  /// `options.drat_path` set, the transition solver logs its proof to
+  /// `<drat_path>` and the initiation solver to `<drat_path>-p1`.
   QueryContext(const ir::TransitionSystem& ts, ir::NodeRef property,
                const std::vector<ir::NodeRef>& lemmas, const PdrOptions& options,
-               sat::SolverPool& pool, FrameDb& db);
+               FrameDb& db);
 
   const ir::TransitionSystem& system() const noexcept { return ts_; }
-  sat::Backend& solver() { return pool_.at(solver_handle_); }
-  sat::Backend& init_solver() { return pool_.at(init_handle_); }
+  sat::Backend& solver() { return *solver_; }
+  sat::Backend& init_solver() { return *init_solver_; }
+
+  /// Lifetime statistics of both solvers, summed.
+  sat::SolverStats stats() const;
+
   Unroller& unroller() { return *unr_; }
   Unroller& init_unroller() { return *init_unr_; }
 
@@ -68,10 +70,9 @@ class QueryContext {
   /// True once cooperative cancellation has been requested.
   bool stopped() const noexcept;
 
-  /// Mirror maintenance: rebuild the transition solver if the gate litter
-  /// crossed the limit, then replay every FrameDb event this mirror has not
-  /// seen. Called internally by every query entry point; cheap when there is
-  /// nothing new.
+  /// Mirror maintenance: replay every FrameDb event recorded since the last
+  /// sync, in order. Called internally by every query entry point; cheap
+  /// when there is nothing new.
   void sync();
 
   /// Solver literal that is true iff cube literal `l` holds at `frame`.
@@ -145,19 +146,10 @@ class QueryContext {
   /// Permanently satisfy every clause gated by `gate` and count the litter.
   void retire_gate(sat::Lit gate);
 
-  /// Lifetime gate litter (survives rebuilds) — feeds EngineStats.
-  std::size_t retired_gates() const noexcept { return retired_gates_total_; }
+  /// Lifetime gate litter — feeds EngineStats.
+  std::size_t retired_gates() const noexcept { return retired_gates_; }
 
  private:
-  /// Encode the rebuild-invariant base facts into the (fresh) transition
-  /// solver: frames 0/1, the gated init equalities, the seeded lemmas and
-  /// the property literal. Shared by the constructor and rebuild().
-  void bootstrap();
-
-  /// Replace the transition solver with a fresh one and re-encode the base
-  /// facts plus a consistent FrameDb snapshot.
-  void rebuild();
-
   void apply_event(const FrameDb::Event& event);
   void assert_blocked(const Cube& cube, std::size_t level);
   void assert_infinity(const Cube& cube);
@@ -177,13 +169,11 @@ class QueryContext {
 
   const ir::TransitionSystem& ts_;
   const PdrOptions& options_;
-  sat::SolverPool& pool_;
   FrameDb& db_;
   ir::NodeRef property_;
-  std::vector<ir::NodeRef> lemmas_;
 
-  std::size_t solver_handle_ = 0;
-  std::size_t init_handle_ = 0;
+  std::unique_ptr<sat::Backend> solver_;
+  std::unique_ptr<sat::Backend> init_solver_;
   std::unique_ptr<Unroller> unr_;
   std::unique_ptr<Unroller> init_unr_;
   /// activations_[0] gates the init-value equalities; activations_[k] gates
@@ -191,7 +181,6 @@ class QueryContext {
   std::vector<sat::Lit> activations_;
   sat::Lit prop0_ = sat::kUndefLit;
   sat::Lit init_prop_ = sat::kUndefLit;
-  std::size_t synced_epoch_ = 0;
 
   /// Live may-clause mirror: candidate id -> its dedicated gate + cube.
   /// std::map keeps assumption order deterministic (sorted by id).
@@ -206,8 +195,7 @@ class QueryContext {
   std::size_t lifted_bits_ = 0;
   std::size_t lifted_input_bits_ = 0;
 
-  std::size_t retired_gates_since_rebuild_ = 0;
-  std::size_t retired_gates_total_ = 0;
+  std::size_t retired_gates_ = 0;
 };
 
 }  // namespace genfv::mc::pdr

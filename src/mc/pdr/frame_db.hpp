@@ -12,30 +12,30 @@
 /// manager-neutral currency as `mc::ExchangedClause`), and a query context
 /// mirrors it into its solver (below).
 ///
-/// Thread-safety: every method is internally synchronized by one mutex, so
-/// the class is safe to share even though one engine run owns it; the
-/// mutex's annotations are also what the clang thread-safety leg's
-/// negative-compile probe checks. Accessors return snapshots by value.
+/// Ownership: one PDR run owns its database and drives it from one thread,
+/// so the class is not synchronized. Portfolio members never share one —
+/// each builds its own run over a private system clone.
 ///
-/// Epoch sync: every mutation appends an event to an append-only journal and
-/// the epoch is the journal length. A `QueryContext` mirrors the database
-/// into its private solver by replaying `events_since` its last synced
-/// epoch — level pushes allocate activation literals, blocked cubes become
+/// Mirror sync: every mutation a solver mirror must see appends an event to
+/// a pending list, and `QueryContext::sync()` drains it at the next query —
+/// level pushes allocate activation literals, blocked cubes become
 /// activation-gated clauses, graduations become ungated F_∞ clauses. The
-/// journal records only additions: subsumption and graduation remove cubes
+/// events record only additions: subsumption and graduation remove cubes
 /// from the *bookkeeping*, but the solver clauses they already produced in
-/// some mirror remain sound (merely redundant), exactly as in the
-/// single-solver engine.
+/// the mirror remain sound (merely redundant), exactly as in the
+/// single-solver engine. Replay is deferred on purpose: applying a
+/// RetractMay at mutation time would add clauses between a SAT answer and
+/// the caller's `extract_state`, and would reorder solver calls.
 
 #include <cstddef>
 #include <limits>
 #include <optional>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "mc/pdr/cube.hpp"
-#include "util/thread_safety.hpp"
 
 namespace genfv::mc::pdr {
 
@@ -46,7 +46,7 @@ inline constexpr std::size_t kInfinityLevel = std::numeric_limits<std::size_t>::
 
 class FrameDb {
  public:
-  /// One journal entry. Replay rules for a solver mirror:
+  /// One pending mirror event. Replay rules for a solver mirror:
   ///  * PushLevel: allocate a fresh activation literal for the new level.
   ///  * Block: assert clause ¬cube gated by the activation of `level`.
   ///  * Graduate: assert clause ¬cube ungated at both solver frames.
@@ -64,7 +64,7 @@ class FrameDb {
   };
 
   /// One live candidate ("may") clause: the cube it blocks plus its stable
-  /// id (gates in every mirror are keyed on it). `init_ok` caches the
+  /// id (the mirror's gates are keyed on it). `init_ok` caches the
   /// outcome of the (immutable) initiation check so the may-proof pass runs
   /// it once per candidate, not once per frame iteration.
   struct MayClause {
@@ -75,28 +75,18 @@ class FrameDb {
     std::size_t strikes = 0;
   };
 
-  /// A consistent copy of the whole database, used for solver rebuilds: the
-  /// rebuilt mirror re-encodes `levels`/`infinity`/`may` and resumes syncing
-  /// from `epoch`.
-  struct Snapshot {
-    std::vector<std::vector<Cube>> levels;  ///< blocked cubes per level
-    std::vector<Cube> infinity;
-    std::vector<MayClause> may;             ///< live (unretracted) candidates
-    std::size_t epoch = 0;
-  };
-
   /// Starts with level 0 only (the initial-state frame, which never holds
-  /// cubes) and an empty journal.
+  /// cubes) and no pending events.
   FrameDb();
 
-  std::size_t levels() const;
-  std::size_t frontier() const;  ///< levels() - 1
+  std::size_t levels() const noexcept { return levels_.size(); }
+  std::size_t frontier() const noexcept { return levels_.size() - 1; }
 
   /// Append a new (empty) frontier level.
   void push_level();
 
   /// Record `cube` as blocked at `level` (1..frontier): drops bookkeeping
-  /// for cubes at levels ≤ `level` that the new cube subsumes, then journals
+  /// for cubes at levels ≤ `level` that the new cube subsumes, then records
   /// a Block event. Call is_blocked first if double-adding is possible.
   void add_blocked(Cube cube, std::size_t level);
 
@@ -105,7 +95,7 @@ class FrameDb {
   /// bookkeeping, matching the single-solver engine's behavior.)
   bool is_blocked(const Cube& cube, std::size_t level) const;
 
-  /// Graduate `cube` from `level`'s bookkeeping into F_∞ and journal it.
+  /// Graduate `cube` from `level`'s bookkeeping into F_∞ and record it.
   /// No-op on the bookkeeping side when the cube is absent from `level`.
   void graduate(const Cube& cube, std::size_t level);
 
@@ -130,7 +120,7 @@ class FrameDb {
 
   /// Record one spurious-blocked offense against candidate `id` and retract
   /// it once its strikes reach the configured limit. Sub-limit strikes are
-  /// bookkeeping only (no journal event, mirrors unaffected) — a candidate
+  /// bookkeeping only (no event, the mirror is unaffected) — a candidate
   /// that collides once with a rare backward-reachable state keeps helping
   /// until it proves itself a repeat offender. Returns true iff this strike
   /// retracted the candidate.
@@ -142,64 +132,49 @@ class FrameDb {
 
   /// Remove candidate `id` from the may set because a clean may-proof
   /// succeeded — the caller follows up with add_blocked for the cube.
-  /// Mirrors treat it exactly like a retraction (the gated assumption is
+  /// The mirror treats it exactly like a retraction (the gated assumption is
   /// replaced by a real frame clause). Returns false when already gone.
   bool graduate_may(std::size_t id);
 
   /// Record that candidate `id` passed the initiation check (SAT(init ∧
   /// cube) = False — a fact that can never change). Bookkeeping only; no
-  /// journal event, mirrors are unaffected.
+  /// event, the mirror is unaffected.
   void mark_may_init_ok(std::size_t id);
 
   /// Live (seeded, not yet retracted/graduated) candidates.
-  std::vector<MayClause> may_clauses() const;
+  const std::vector<MayClause>& may_clauses() const noexcept { return may_; }
 
   /// Lifetime counters for EngineStats.
-  std::size_t may_seeded() const;
-  std::size_t may_graduated() const;
-  std::size_t may_retracted() const;
+  std::size_t may_seeded() const noexcept { return next_may_id_; }
+  std::size_t may_graduated() const noexcept { return may_graduated_; }
+  std::size_t may_retracted() const noexcept { return may_retracted_; }
 
-  std::vector<Cube> cubes_at(std::size_t level) const;
-  std::vector<Cube> infinity() const;
+  /// References stay valid only until the next mutation; copy before
+  /// mutating the database while iterating.
+  const std::vector<Cube>& cubes_at(std::size_t level) const;
+  const std::vector<Cube>& infinity() const noexcept { return infinity_; }
 
   /// Total live (non-subsumed, non-graduated) cubes across all levels.
-  std::size_t total_cubes() const;
+  std::size_t total_cubes() const noexcept;
 
-  /// Journal length; grows monotonically with every mutation.
-  std::size_t epoch() const;
-
-  /// Append journal entries [from, epoch()) to `out`; returns the new epoch.
-  std::size_t events_since(std::size_t from, std::vector<Event>* out) const;
-
-  Snapshot snapshot() const;
-
-#if defined(GENFV_TSA_NEGATIVE_TEST)
-  /// Negative-compile probe (scripts/check_thread_safety.sh): reads a
-  /// guarded field without taking mu_. MUST fail to compile under
-  /// -Werror=thread-safety — if it ever compiles, the annotation coverage
-  /// has rotted and the whole clang leg is vacuous. Never defined in real
-  /// builds.
-  std::size_t tsa_probe_unguarded() const { return levels_.size(); }
-#endif
+  /// Hand over every event recorded since the previous call, oldest first.
+  std::vector<Event> take_events() noexcept { return std::exchange(pending_, {}); }
 
  private:
   /// Shared body of retract_may/strike_may/graduate_may: erase, bump
-  /// `counter`, journal a RetractMay (mirrors handle all cases identically).
-  bool remove_may(std::size_t id, std::size_t* counter) GENFV_EXCLUDES(mu_);
-  bool remove_may_locked(std::size_t id, std::size_t* counter) GENFV_REQUIRES(mu_);
+  /// `counter`, record a RetractMay (the mirror handles all cases
+  /// identically).
+  bool remove_may(std::size_t id, std::size_t* counter);
 
-  /// util::Mutex attributes lock waits to `pdr.framedb_mutex_wait_ns` /
-  /// `pdr.framedb_mutex_locks` whenever telemetry is on.
-  mutable util::Mutex mu_{"pdr.framedb"};
-  std::vector<std::vector<Cube>> levels_ GENFV_GUARDED_BY(mu_);  ///< delta-encoded
-  std::vector<Cube> infinity_ GENFV_GUARDED_BY(mu_);
-  std::vector<MayClause> may_ GENFV_GUARDED_BY(mu_);              ///< live candidates
-  std::unordered_set<std::string> may_keys_ GENFV_GUARDED_BY(mu_);  ///< ever-seeded keys
-  std::size_t next_may_id_ GENFV_GUARDED_BY(mu_) = 0;
-  std::size_t candidate_strikes_ GENFV_GUARDED_BY(mu_) = 2;
-  std::size_t may_graduated_ GENFV_GUARDED_BY(mu_) = 0;
-  std::size_t may_retracted_ GENFV_GUARDED_BY(mu_) = 0;
-  std::vector<Event> journal_ GENFV_GUARDED_BY(mu_);
+  std::vector<std::vector<Cube>> levels_;  ///< delta-encoded
+  std::vector<Cube> infinity_;
+  std::vector<MayClause> may_;                ///< live candidates
+  std::unordered_set<std::string> may_keys_;  ///< ever-seeded keys
+  std::size_t next_may_id_ = 0;
+  std::size_t candidate_strikes_ = 2;
+  std::size_t may_graduated_ = 0;
+  std::size_t may_retracted_ = 0;
+  std::vector<Event> pending_;  ///< not yet drained by the mirror
 };
 
 }  // namespace genfv::mc::pdr

@@ -8,7 +8,6 @@
 #include "mc/pdr/frame_db.hpp"
 #include "mc/pdr/obligation.hpp"
 #include "mc/pdr/propagate.hpp"
-#include "sat/solver_pool.hpp"
 #include "sim/interpreter.hpp"
 #include "util/status.hpp"
 #include "util/stopwatch.hpp"
@@ -36,12 +35,11 @@ bool references_input(ir::NodeRef root) {
 }
 
 /// All mutable state of one prove_all() run: the solver-neutral structures
-/// (frame database, obligation arena, solver pool) plus the query context
-/// that mirrors them into its solvers.
+/// (frame database, obligation arena) plus the query context that mirrors
+/// them into its solvers. One run, one thread.
 struct PdrRun {
   FrameDb db;
   ObligationQueue queue;
-  sat::SolverPool pool;
   QueryContext ctx;
   /// Candidate intake from the exchange mailbox (seed_candidates only):
   /// caller-owned cursor plus the standard consumer-side dedupe.
@@ -49,10 +47,7 @@ struct PdrRun {
   AbsorbFilter absorb_filter;
 
   PdrRun(const ir::TransitionSystem& ts, const PdrOptions& options, ir::NodeRef prop)
-      : pool(sat::SolverConfig{options.conflict_budget, options.stop.get(),
-                               options.sat_inprocess, options.sat_backend,
-                               options.drat_path}),
-        ctx(ts, prop, options.lemmas, options, pool, db) {
+      : ctx(ts, prop, options.lemmas, options, db) {
     db.set_candidate_strikes(options.candidate_strikes);
     db.push_level();  // level 1: the first frontier
   }
@@ -115,11 +110,10 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   auto finish = [&](Verdict verdict, std::size_t depth) {
     result.verdict = verdict;
     result.depth = depth;
-    result.stats.absorb(run.pool.total_stats());
+    result.stats.absorb(ctx.stats());
     result.stats.retired_gates += ctx.retired_gates();
     result.stats.lifted_bits += ctx.lifted_bits();
     result.stats.lifted_input_bits += ctx.lifted_input_bits();
-    result.stats.solver_rebuilds += run.pool.rebuilds();
     result.stats.candidates_seeded += run.db.may_seeded();
     result.stats.candidates_graduated += run.db.may_graduated();
     result.stats.candidates_retracted += run.db.may_retracted();

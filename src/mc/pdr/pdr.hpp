@@ -21,8 +21,8 @@
 ///
 /// The engine is layered (this header is only the façade):
 ///  * `frame_db.hpp` — the solver-neutral frame database;
-///  * `context.hpp` — the query context (solver + unroller + activation
-///    literals + gate-litter rebuild) over a `sat::SolverPool`;
+///  * `context.hpp` — the query context (two solvers + unrollers +
+///    activation literals);
 ///  * `blocking.hpp` / `generalize.hpp` / `propagate.hpp` — the algorithm
 ///    split into frontier strengthening, inductive generalization and
 ///    forward propagation / F_∞ graduation;
@@ -91,24 +91,17 @@ struct PdrOptions {
   /// disjunctions of state-bit literals — can seed; others are skipped.
   /// Ignored unless `seed_candidates` is set.
   std::vector<ir::NodeRef> candidate_lemmas;
-  /// Query-gate hygiene: every finished blocking query retires its
-  /// activation gate as a permanently-satisfied unit clause, and those
-  /// accumulate without bound on long runs. When a context has retired this
-  /// many gates it rebuilds its transition solver in place, re-encoding only
-  /// the live facts (init, lemmas, FrameDb clauses, F_∞). 0 (the default)
-  /// never rebuilds — rebuilds keep verdicts but perturb SAT models, i.e.
-  /// the exact frame trajectory.
-  std::size_t rebuild_gate_limit = 0;
   /// Strikes before a may-candidate is retracted: a candidate implicated in
   /// a spurious "blocked" answer is only dropped after this many offenses,
   /// tolerating one-off collisions with rare backward-reachable states.
   /// 1 = retract on first offense (the legacy policy).
   std::size_t candidate_strikes = 2;
   /// SAT backend name (see sat::make_backend) and inprocessing toggle,
-  /// stamped onto every solver the run's pool creates.
+  /// applied to both of the run's solvers.
   std::string sat_backend = "internal";
   bool sat_inprocess = true;
-  /// When non-empty, pool solvers log DRAT proofs under this path base.
+  /// When non-empty, the transition solver logs a DRAT proof to
+  /// `<drat_path>` and the initiation solver to `<drat_path>-p1`.
   std::string drat_path;
 };
 

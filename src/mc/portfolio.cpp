@@ -84,13 +84,16 @@ namespace {
 /// by one silently dropped every knob added after the copy was written (and
 /// would have dropped the exchange wiring too). Only the genuinely
 /// per-member fields are overridden afterwards.
-EngineOptions member_options(const EngineOptions& portfolio,
+EngineOptions member_options(const EngineOptions& portfolio, EngineKind kind,
                              const std::shared_ptr<LemmaMailbox>& mailbox,
                              std::size_t slot) {
   EngineOptions opts = portfolio;
   opts.portfolio_engines.clear();  // members never recurse into a portfolio
   opts.exchange_mailbox = mailbox;
   opts.exchange_slot = slot;
+  // Members run the same solver roles (BMC and PDR both write a bare
+  // `<base>`), so each gets its own proof base.
+  if (!opts.drat_path.empty()) opts.drat_path += "-" + to_string(kind);
   return opts;
 }
 
@@ -153,7 +156,7 @@ EngineResult PortfolioEngine::run_threaded(const std::vector<ir::NodeRef>& prope
       EngineResult r;
       std::string note;
       try {
-        EngineOptions opts = member_options(options_, mailbox, i);
+        EngineOptions opts = member_options(options_, members_[i], mailbox, i);
         opts.lemmas = member_lemmas[i];  // translated into this member's clone
         opts.pdr_candidate_lemmas = member_candidates[i];
         opts.stop = cancel;
@@ -309,7 +312,7 @@ EngineResult PortfolioEngine::run_time_sliced(const std::vector<ir::NodeRef>& pr
       EngineResult r;
       GENFV_TRACE_SPAN("portfolio", member_span_name(members_[i]));
       try {
-        EngineOptions opts = member_options(options_, mailbox, i);
+        EngineOptions opts = member_options(options_, members_[i], mailbox, i);
         opts.max_steps = budget;
         auto engine = make_engine(members_[i], ts_, opts);
         r = engine->prove_all(properties);

@@ -41,10 +41,8 @@ struct EngineStats {
   /// Clauses learnt from conflict analysis across every absorbed solver.
   std::uint64_t learnt_clauses = 0;
   /// PDR query hygiene: one-shot activation gates retired as permanently-
-  /// satisfied unit clauses (the litter that motivates solver rebuilds),
-  /// and in-place solver rebuilds triggered by PdrOptions::rebuild_gate_limit.
+  /// satisfied unit clauses.
   std::uint64_t retired_gates = 0;
-  std::uint64_t solver_rebuilds = 0;
   /// PDR ternary lifting: state-bit literals dropped from extracted cubes
   /// before generalization (PdrOptions::ternary_lifting), and input bits
   /// freed to X by the input-lifting pass that follows it.
@@ -85,7 +83,6 @@ struct EngineStats {
     restarts += other.restarts;
     learnt_clauses += other.learnt_clauses;
     retired_gates += other.retired_gates;
-    solver_rebuilds += other.solver_rebuilds;
     lifted_bits += other.lifted_bits;
     lifted_input_bits += other.lifted_input_bits;
     inprocessings += other.inprocessings;

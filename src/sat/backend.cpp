@@ -16,10 +16,18 @@ Lit Backend::true_lit() {
   return mk_lit(true_var_);
 }
 
-std::unique_ptr<Backend> make_backend(const std::string& name) {
-  if (name == "internal") return std::make_unique<Solver>();
-  throw UsageError("unknown SAT backend '" + name + "' (known: " +
-                   util::join(backend_names(), ", ") + ")");
+std::unique_ptr<Backend> make_backend(const SolverConfig& config) {
+  if (config.backend != "internal") {
+    throw UsageError("unknown SAT backend '" + config.backend + "' (known: " +
+                     util::join(backend_names(), ", ") + ")");
+  }
+  std::unique_ptr<Backend> solver = std::make_unique<Solver>();
+  solver->set_conflict_budget(config.conflict_budget);
+  solver->set_stop_flag(config.stop);
+  solver->set_inprocessing(config.inprocess);
+  // Proof logging must start on a pristine solver.
+  if (!config.drat_path.empty()) solver->start_proof(config.drat_path);
+  return solver;
 }
 
 std::vector<std::string> backend_names() { return {"internal"}; }

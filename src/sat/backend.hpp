@@ -8,16 +8,18 @@
 /// and failed-assumption-core extraction, conflict budgets and cooperative
 /// cancellation — exactly the surface `sat::Solver` (the in-tree CDCL core,
 /// the default backend) has always exposed. Extracting it lets an external
-/// MiniSat/CaDiCaL-style solver be dropped into a `SolverPool` and raced
-/// inside the portfolio without touching any engine code.
+/// MiniSat/CaDiCaL-style solver be dropped in and raced inside the portfolio
+/// without touching any engine code.
 ///
 /// Optional capabilities degrade gracefully: a backend without inprocessing
 /// ignores `set_inprocessing` and may treat `freeze` as a no-op; a backend
 /// without proof support returns false from `start_proof` (callers then
 /// simply get no certificate). The in-tree solver implements all of them.
 ///
-/// Backends are constructed through `make_backend(name)`; `"internal"` is
-/// the in-tree solver and the default everywhere.
+/// Backends are constructed through `make_backend(config)`, which also
+/// applies the budget, stop flag, inprocessing and proof settings every
+/// engine solver needs; `"internal"` is the in-tree solver and the default
+/// everywhere.
 
 #include <atomic>
 #include <cstdint>
@@ -144,9 +146,25 @@ class Backend {
   Var true_var_ = kUndefVar;
 };
 
-/// Construct a backend by registry name. `"internal"` is the in-tree CDCL
-/// solver. Throws util::UsageError for unknown names, listing the registry.
-std::unique_ptr<Backend> make_backend(const std::string& name = "internal");
+/// Everything an engine sets on a fresh solver before its first clause.
+struct SolverConfig {
+  /// Registry name (see backend_names); "internal" = in-tree CDCL.
+  std::string backend = "internal";
+  /// Best-effort conflict cap per solve(); -1 = unlimited.
+  std::int64_t conflict_budget = -1;
+  /// Cooperative cancellation flag (read-only, relaxed); may be nullptr.
+  /// Must outlive the solver — see Backend::set_stop_flag.
+  const std::atomic<bool>* stop = nullptr;
+  /// Enable inprocessing on backends that support it (default on).
+  bool inprocess = true;
+  /// When non-empty, the solver logs a DRAT proof to `<drat_path>.cnf` /
+  /// `<drat_path>.drat` (Backend::start_proof).
+  std::string drat_path;
+};
+
+/// Construct a configured backend. Throws util::UsageError for unknown
+/// backend names, listing the registry.
+std::unique_ptr<Backend> make_backend(const SolverConfig& config = {});
 
 /// Names accepted by make_backend.
 std::vector<std::string> backend_names();

@@ -14,7 +14,7 @@
 ///
 ///  2. **Metrics registry** — named counters, gauges, and histograms
 ///     (`sat.conflicts`, `pdr.obligations_queued`,
-///     `pdr.framedb_mutex_wait_ns`, ...) snapshotted to JSON. Hot paths
+///     `mc.mailbox_mutex_wait_ns`, ...) snapshotted to JSON. Hot paths
 ///     cache a `Counter&` once and pay one relaxed atomic add per update;
 ///     updates are gated on `telemetry_on()` so a disabled build pays only
 ///     the branch.

@@ -6,13 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <sstream>
 
 #include "sat/backend.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/solver.hpp"
-#include "sat/solver_pool.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 
@@ -341,41 +341,6 @@ TEST(SolverStats, CountersAdvance) {
   (void)s.solve();
   EXPECT_GE(s.stats().solves, 1u);
   EXPECT_GE(s.stats().propagations + s.stats().decisions, 1u);
-}
-
-TEST(SolverPoolTest, HandsOutConfiguredSolvers) {
-  SolverPool pool;
-  const std::size_t a = pool.acquire();
-  const std::size_t b = pool.acquire();
-  EXPECT_EQ(pool.size(), 2u);
-  EXPECT_NE(&pool.at(a), &pool.at(b));
-
-  const Var v = pool.at(a).new_var();
-  ASSERT_TRUE(pool.at(a).add_clause(pos(v)));
-  EXPECT_EQ(pool.at(a).solve(), LBool::True);
-  EXPECT_EQ(pool.at(b).num_vars(), 0);  // handles are independent
-}
-
-TEST(SolverPoolTest, RebuildFoldsRetiredStats) {
-  SolverPool pool;
-  const std::size_t h = pool.acquire();
-  const Var v = pool.at(h).new_var();
-  ASSERT_TRUE(pool.at(h).add_clause(pos(v)));
-  (void)pool.at(h).solve();
-  const std::uint64_t solves_before = pool.total_stats().solves;
-  EXPECT_GE(solves_before, 1u);
-
-  Backend& fresh = pool.rebuild(h);
-  EXPECT_EQ(&fresh, &pool.at(h));
-  EXPECT_EQ(fresh.num_vars(), 0);  // genuinely fresh
-  EXPECT_EQ(pool.rebuilds(), 1u);
-  // The retired solver's lifetime counters survive the rebuild...
-  EXPECT_EQ(pool.total_stats().solves, solves_before);
-  // ...and keep accumulating with the replacement's work.
-  const Var w = fresh.new_var();
-  ASSERT_TRUE(fresh.add_clause(pos(w)));
-  (void)fresh.solve();
-  EXPECT_EQ(pool.total_stats().solves, solves_before + 1);
 }
 
 // --- inprocessing soundness ---------------------------------------------------
@@ -757,7 +722,9 @@ TEST(BackendRegistry, InternalIsDefaultAndUnknownNamesThrow) {
   ASSERT_FALSE(names.empty());
   EXPECT_NE(std::find(names.begin(), names.end(), "internal"), names.end());
 
-  const std::unique_ptr<Backend> backend = make_backend("internal");
+  SolverConfig config;
+  config.backend = "internal";
+  const std::unique_ptr<Backend> backend = make_backend(config);
   ASSERT_NE(backend, nullptr);
   EXPECT_NE(dynamic_cast<Solver*>(backend.get()), nullptr);
   const Var v = backend->new_var();
@@ -765,21 +732,43 @@ TEST(BackendRegistry, InternalIsDefaultAndUnknownNamesThrow) {
   EXPECT_EQ(backend->solve(), LBool::True);
   EXPECT_EQ(backend->model_value(v), LBool::True);
 
-  EXPECT_THROW((void)make_backend("cadical-from-the-future"), UsageError);
+  config.backend = "cadical-from-the-future";
+  EXPECT_THROW((void)make_backend(config), UsageError);
 }
 
-TEST(SolverPoolTest, ConfigAppliesToRebuiltSolvers) {
+TEST(BackendRegistry, MakeBackendAppliesEveryConfigField) {
+  // Defaults: an unconstrained solver with inprocessing on.
+  const std::unique_ptr<Backend> plain = make_backend();
+  EXPECT_TRUE(dynamic_cast<Solver&>(*plain).inprocessing());
+  const Var a = plain->new_var();
+  const Var b = plain->new_var();
+  ASSERT_TRUE(plain->add_clause(pos(a), pos(b)));
+  EXPECT_EQ(plain->solve(), LBool::True);
+
+  // A zero conflict budget gives up at the first decision.
+  SolverConfig budgeted;
+  budgeted.conflict_budget = 0;
+  const std::unique_ptr<Backend> capped = make_backend(budgeted);
+  const Var c = capped->new_var();
+  const Var d = capped->new_var();
+  ASSERT_TRUE(capped->add_clause(pos(c), pos(d)));
+  EXPECT_EQ(capped->solve(), LBool::Undef);
+
+  // A raised stop flag makes every solve abandon with Undef; inprocessing
+  // is off and the DRAT proof was started before the first clause.
   std::atomic<bool> stop{true};
-  SolverPool pool(SolverConfig{-1, &stop});
-  const std::size_t h = pool.acquire();
-  // A raised stop flag makes every solve abandon immediately with Undef.
-  const Var v = pool.at(h).new_var();
-  ASSERT_TRUE(pool.at(h).add_clause(pos(v), neg(v)));
-  EXPECT_EQ(pool.at(h).solve(), LBool::Undef);
-  Backend& fresh = pool.rebuild(h);
-  const Var w = fresh.new_var();
-  ASSERT_TRUE(fresh.add_clause(pos(w), neg(w)));
-  EXPECT_EQ(fresh.solve(), LBool::Undef);
+  SolverConfig config;
+  config.stop = &stop;
+  config.inprocess = false;
+  config.drat_path = testing::TempDir() + "genfv_make_backend";
+  const std::unique_ptr<Backend> configured = make_backend(config);
+  EXPECT_FALSE(dynamic_cast<Solver&>(*configured).inprocessing());
+  EXPECT_TRUE(std::ifstream(config.drat_path + ".drat").good());
+  const Var v = configured->new_var();
+  ASSERT_TRUE(configured->add_clause(pos(v), neg(v)));
+  EXPECT_EQ(configured->solve(), LBool::Undef);
+  stop = false;
+  EXPECT_EQ(configured->solve(), LBool::True);
 }
 
 }  // namespace

@@ -45,8 +45,9 @@
 ///                                    LBD-tiered learnt-clause DB (default:
 ///                                    on; off pins the plain-CDCL behavior)
 ///   --drat-out <path>                log DRAT proofs: each solver writes
-///                                    <path>[-p..][-r..].cnf/.drat; check
-///                                    with scripts/check_drat.py (docs/sat.md)
+///                                    <path>[-<engine>][_base|_step|-p1]
+///                                    .cnf/.drat; check with
+///                                    scripts/check_drat.py (docs/sat.md)
 ///   --property "<sva>"               may repeat; an `<engine>:` prefix (e.g.
 ///                                    "pdr:count <= 8") overrides the engine
 ///                                    for that property (plain flow only)
@@ -335,18 +336,16 @@ std::string telemetry_summary_line() {
   const std::uint64_t solve_ms = reg.counter("sat.solve_ns").value() / 1000000;
   const std::uint64_t blocking_ms = reg.counter("pdr.blocking_ns").value() / 1000000;
   const std::uint64_t propagate_ms = reg.counter("pdr.propagate_ns").value() / 1000000;
-  const std::uint64_t lock_wait_us = reg.counter("pdr.framedb_mutex_wait_ns").value() / 1000;
   const std::uint64_t published = reg.counter("exchange.published").value();
   const std::uint64_t absorbed = reg.counter("exchange.absorbed").value();
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "telemetry: sat %llu solves / %llu ms, pdr blocking %llu ms propagate %llu ms, "
-                "framedb wait %llu us, exchange %llu pub / %llu abs",
+                "exchange %llu pub / %llu abs",
                 static_cast<unsigned long long>(solves),
                 static_cast<unsigned long long>(solve_ms),
                 static_cast<unsigned long long>(blocking_ms),
                 static_cast<unsigned long long>(propagate_ms),
-                static_cast<unsigned long long>(lock_wait_us),
                 static_cast<unsigned long long>(published),
                 static_cast<unsigned long long>(absorbed));
   return buf;
@@ -555,8 +554,10 @@ void select_targets(flow::VerificationTask& task, const std::vector<std::string>
 /// resulting certificate with scripts/check_drat.py.
 int cmd_sat(const CliOptions& opts) {
   const sat::Cnf cnf = sat::parse_dimacs(read_file(opts.rtl_path));
-  const std::unique_ptr<sat::Backend> backend = sat::make_backend(opts.sat_backend);
-  backend->set_inprocessing(opts.sat_inprocess);
+  sat::SolverConfig config;
+  config.backend = opts.sat_backend;
+  config.inprocess = opts.sat_inprocess;
+  const std::unique_ptr<sat::Backend> backend = sat::make_backend(config);
   if (!opts.drat_out.empty() && !backend->start_proof(opts.drat_out)) {
     std::fprintf(stderr, "error: backend '%s' cannot write a proof to '%s'\n",
                  opts.sat_backend.c_str(), opts.drat_out.c_str());
