@@ -56,11 +56,6 @@ struct EngineOptions {
   bool simple_path = false;
   /// Best-effort SAT conflict cap per run; -1 = unlimited.
   std::int64_t conflict_budget = -1;
-  /// PDR only: ternary-simulation cube lifting — shrink extracted
-  /// predecessor / bad-state cubes before generalization. Off (the default)
-  /// keeps the engine bit-for-bit legacy; on perturbs the frame trajectory
-  /// but never a verdict. See PdrOptions::ternary_lifting.
-  bool pdr_ternary_lifting = false;
   /// PDR only: seed frames with *candidate* (unproven) clauses under the
   /// may-proof discipline — from `pdr_candidate_lemmas` and, inside an
   /// exchanging portfolio, from level-tagged mailbox clauses. Candidates are
@@ -93,9 +88,6 @@ struct EngineOptions {
   /// spawns several solvers; portfolio members first append `-<engine>`).
   /// An UNSAT run's proof validates with scripts/check_drat.py.
   std::string drat_path;
-  /// PDR only: spurious-blocked offenses a candidate ("may") clause is
-  /// allowed before retraction. See PdrOptions::candidate_strikes.
-  std::size_t pdr_candidate_strikes = 2;
 
   // --- portfolio only -------------------------------------------------------
   /// Member engines, in launch (threaded) / slice (time-sliced) order.

@@ -67,16 +67,12 @@ BlockOutcome handle_obligations(QueryContext& ctx, FrameDb& db, ObligationQueue&
     // A predecessor inside F_{level-1} extends the chain towards init.
     Obligation pred;
     ctx.extract_state(pred);
-    // Ternary lifting: shrink the predecessor cube to the bits that force the
-    // transition into `cube` under the recorded inputs (no-op when off).
-    ctx.lift_pred(pred, cube);
     pred.level = level - 1;
     pred.parent = static_cast<std::ptrdiff_t>(index);
     const sat::LBool initial = ctx.intersects_init(pred.cube);
     if (initial == sat::LBool::Undef) return BlockOutcome::Budget;
     if (initial == sat::LBool::True) {
-      // The (lifted) predecessor cube holds an initial state: a real CEX.
-      ctx.extract_init_witness(pred);
+      // The predecessor is an initial state: a real CEX.
       *cex_index = queue.add(std::move(pred));
       return BlockOutcome::Counterexample;
     }
@@ -99,19 +95,14 @@ BlockOutcome strengthen_frontier(QueryContext& ctx, FrameDb& db, ObligationQueue
 
     Obligation bad;
     ctx.extract_state(bad);
-    // Ternary lifting: keep only the bits that force the property violation
-    // under the recorded inputs (no-op when off).
-    ctx.lift_bad(bad);
     bad.level = frontier;
     bad.parent = -1;
     const sat::LBool initial = ctx.intersects_init(bad.cube);
     if (initial == sat::LBool::Undef) return BlockOutcome::Budget;
     if (initial == sat::LBool::True) {
       // Defensive: with input-independent init values the 0-step check
-      // already excludes initial bad states (lifted or not — every state in
-      // a lifted bad cube violates the property under these inputs), so this
-      // cannot trigger; if it ever does, the state is a chain of one.
-      ctx.extract_init_witness(bad);
+      // already excludes initial bad states, so this cannot trigger; if it
+      // ever does, the state is a chain of one.
       *cex_index = queue.add(std::move(bad));
       return BlockOutcome::Counterexample;
     }

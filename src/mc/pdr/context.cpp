@@ -8,7 +8,7 @@ namespace genfv::mc::pdr {
 QueryContext::QueryContext(const ir::TransitionSystem& ts, ir::NodeRef property,
                            const std::vector<ir::NodeRef>& lemmas,
                            const PdrOptions& options, FrameDb& db)
-    : ts_(ts), options_(options), db_(db), property_(property) {
+    : ts_(ts), options_(options), db_(db) {
   sat::SolverConfig config{.backend = options_.sat_backend,
                            .conflict_budget = options_.conflict_budget,
                            .stop = options_.stop.get(),
@@ -23,7 +23,7 @@ QueryContext::QueryContext(const ir::TransitionSystem& ts, ir::NodeRef property,
   init_unr_ = std::make_unique<Unroller>(ts_, init_solver());
   init_unr_->assert_init();
   for (const ir::NodeRef lemma : lemmas) init_unr_->assert_at(lemma, 0);
-  init_prop_ = init_unr_->lit_at(property_, 0);
+  init_prop_ = init_unr_->lit_at(property, 0);
 
   unr_ = std::make_unique<Unroller>(ts_, solver());
 
@@ -51,7 +51,7 @@ QueryContext::QueryContext(const ir::TransitionSystem& ts, ir::NodeRef property,
     unr_->assert_at(lemma, 1);
   }
 
-  prop0_ = unr_->lit_at(property_, 0);
+  prop0_ = unr_->lit_at(property, 0);
   sync();
 }
 
@@ -246,29 +246,6 @@ void QueryContext::extract_state(Obligation& out) {
   for (const ir::NodeRef in : ts_.inputs()) {
     out.input_values.push_back(unr_->model_value(in, 0));
   }
-}
-
-void QueryContext::extract_init_witness(Obligation& out) {
-  out.state_values.clear();
-  for (const auto& s : ts_.states()) {
-    out.state_values.push_back(init_unr_->model_value(s.var, 0));
-  }
-}
-
-void QueryContext::lift_bad(Obligation& o) {
-  GENFV_TRACE_SPAN("pdr", "lift_bad");
-  if (!options_.ternary_lifting) return;
-  if (ternary_ == nullptr) ternary_ = std::make_unique<TernarySim>(ts_);
-  lifted_bits_ += lift_obligation(*ternary_, ts_, o, nullptr, property_,
-                                  &lifted_input_bits_);
-}
-
-void QueryContext::lift_pred(Obligation& o, const Cube& successor) {
-  GENFV_TRACE_SPAN("pdr", "lift_pred");
-  if (!options_.ternary_lifting) return;
-  if (ternary_ == nullptr) ternary_ = std::make_unique<TernarySim>(ts_);
-  lifted_bits_ += lift_obligation(*ternary_, ts_, o, &successor, nullptr,
-                                  &lifted_input_bits_);
 }
 
 sat::LBool QueryContext::intersects_init(const Cube& cube) {

@@ -26,8 +26,6 @@
 /// 0 behind it; RetractMay retires that gate. Queries assume the live gates
 /// and apply the clean-rerun discipline (see relative_query), so no answer
 /// that leaves this context ever depends on an unproven candidate.
-///
-/// Ternary lifting: the context owns a `TernarySim` over its system.
 
 #include <map>
 #include <memory>
@@ -36,7 +34,6 @@
 #include "mc/pdr/frame_db.hpp"
 #include "mc/pdr/obligation.hpp"
 #include "mc/pdr/pdr.hpp"
-#include "mc/pdr/ternary.hpp"
 #include "mc/unroller.hpp"
 #include "sat/backend.hpp"
 
@@ -45,7 +42,7 @@ namespace genfv::mc::pdr {
 class QueryContext {
  public:
   /// `ts`, `property` and `lemmas` must all live in the same NodeManager;
-  /// `ts`, `property`, `db` and `options` must outlive the context. With
+  /// `ts`, `db` and `options` must outlive the context. With
   /// `options.drat_path` set, the transition solver logs its proof to
   /// `<drat_path>` and the initiation solver to `<drat_path>-p1`.
   QueryContext(const ir::TransitionSystem& ts, ir::NodeRef property,
@@ -89,26 +86,6 @@ class QueryContext {
   /// Fill `out` with the full frame-0 state cube and the concrete
   /// state/input values of the current model of the transition solver.
   void extract_state(Obligation& out);
-
-  /// After intersects_init returned True: overwrite `out.state_values` with
-  /// the initial-state witness from the init solver's model. With ternary
-  /// lifting, a lifted cube can contain initial states other than the
-  /// concrete predecessor — counterexample re-simulation must start from a
-  /// state that actually satisfies init (see pdr.cpp's build_cex).
-  void extract_init_witness(Obligation& out);
-
-  /// Ternary-lift an extracted frontier bad state (goal: the property stays
-  /// forced false) / predecessor (goal: `successor` stays forced), dropping
-  /// state-bit literals from `o.cube`. No-ops unless
-  /// PdrOptions::ternary_lifting is set. Feeds the lifted_bits counter.
-  void lift_bad(Obligation& o);
-  void lift_pred(Obligation& o, const Cube& successor);
-
-  /// State-bit literals dropped by this context's lifting — feeds
-  /// EngineStats::lifted_bits. Input bits proven irrelevant by the trailing
-  /// input pass feed EngineStats::lifted_input_bits.
-  std::size_t lifted_bits() const noexcept { return lifted_bits_; }
-  std::size_t lifted_input_bits() const noexcept { return lifted_input_bits_; }
 
   /// SAT(init ∧ cube)? — does the cube contain an initial state.
   /// Never assumes may clauses: initiation checks must be exact.
@@ -170,7 +147,6 @@ class QueryContext {
   const ir::TransitionSystem& ts_;
   const PdrOptions& options_;
   FrameDb& db_;
-  ir::NodeRef property_;
 
   std::unique_ptr<sat::Backend> solver_;
   std::unique_ptr<sat::Backend> init_solver_;
@@ -189,11 +165,6 @@ class QueryContext {
     Cube cube;
   };
   std::map<std::size_t, MayEntry> may_;
-
-  /// Lazily-constructed ternary simulator (ternary_lifting only).
-  std::unique_ptr<TernarySim> ternary_;
-  std::size_t lifted_bits_ = 0;
-  std::size_t lifted_input_bits_ = 0;
 
   std::size_t retired_gates_ = 0;
 };

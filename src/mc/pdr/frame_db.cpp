@@ -1,7 +1,5 @@
 #include "mc/pdr/frame_db.hpp"
 
-#include <algorithm>
-
 #include "mc/exchange.hpp"
 #include "util/status.hpp"
 
@@ -76,14 +74,10 @@ bool FrameDb::retract_may(std::size_t id) { return remove_may(id, &may_retracted
 bool FrameDb::strike_may(std::size_t id) {
   for (MayClause& m : may_) {
     if (m.id != id) continue;
-    if (++m.strikes < candidate_strikes_) return false;  // keep it, on notice
+    if (++m.strikes < kCandidateStrikes) return false;  // keep it, on notice
     return remove_may(id, &may_retracted_);
   }
   return false;  // already retracted/graduated
-}
-
-void FrameDb::set_candidate_strikes(std::size_t limit) {
-  candidate_strikes_ = std::max<std::size_t>(1, limit);
 }
 
 bool FrameDb::graduate_may(std::size_t id) { return remove_may(id, &may_graduated_); }

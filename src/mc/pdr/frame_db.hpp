@@ -44,6 +44,11 @@ namespace genfv::mc::pdr {
 /// proven exchange clauses.
 inline constexpr std::size_t kInfinityLevel = std::numeric_limits<std::size_t>::max();
 
+/// Spurious-blocked offenses before strike_may retracts a candidate: one
+/// collision with a rare backward-reachable state is tolerated, a repeat
+/// offender is dropped.
+inline constexpr std::size_t kCandidateStrikes = 2;
+
 class FrameDb {
  public:
   /// One pending mirror event. Replay rules for a solver mirror:
@@ -119,16 +124,12 @@ class FrameDb {
   bool retract_may(std::size_t id);
 
   /// Record one spurious-blocked offense against candidate `id` and retract
-  /// it once its strikes reach the configured limit. Sub-limit strikes are
+  /// it once its strikes reach kCandidateStrikes. Sub-limit strikes are
   /// bookkeeping only (no event, the mirror is unaffected) — a candidate
   /// that collides once with a rare backward-reachable state keeps helping
   /// until it proves itself a repeat offender. Returns true iff this strike
   /// retracted the candidate.
   bool strike_may(std::size_t id);
-
-  /// Strikes before strike_may retracts (minimum 1; default 2). Set before
-  /// the run starts; see PdrOptions::candidate_strikes.
-  void set_candidate_strikes(std::size_t limit);
 
   /// Remove candidate `id` from the may set because a clean may-proof
   /// succeeded — the caller follows up with add_blocked for the cube.
@@ -171,7 +172,6 @@ class FrameDb {
   std::vector<MayClause> may_;                ///< live candidates
   std::unordered_set<std::string> may_keys_;  ///< ever-seeded keys
   std::size_t next_may_id_ = 0;
-  std::size_t candidate_strikes_ = 2;
   std::size_t may_graduated_ = 0;
   std::size_t may_retracted_ = 0;
   std::vector<Event> pending_;  ///< not yet drained by the mirror

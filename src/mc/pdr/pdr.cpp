@@ -48,7 +48,6 @@ struct PdrRun {
 
   PdrRun(const ir::TransitionSystem& ts, const PdrOptions& options, ir::NodeRef prop)
       : ctx(ts, prop, options.lemmas, options, db) {
-    db.set_candidate_strikes(options.candidate_strikes);
     db.push_level();  // level 1: the first frontier
   }
 };
@@ -112,8 +111,6 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     result.depth = depth;
     result.stats.absorb(ctx.stats());
     result.stats.retired_gates += ctx.retired_gates();
-    result.stats.lifted_bits += ctx.lifted_bits();
-    result.stats.lifted_input_bits += ctx.lifted_input_bits();
     result.stats.candidates_seeded += run.db.may_seeded();
     result.stats.candidates_graduated += run.db.may_graduated();
     result.stats.candidates_retracted += run.db.may_retracted();
@@ -168,48 +165,20 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
 
   // Reconstruct a trace from a level-0 obligation chain: the chain's states
   // run from an initial state to the property violation, and each stored
-  // input vector drives its state into the next one.
-  //
-  // With ternary lifting the stored per-link state values are witnesses of
-  // *cubes*, not one execution: the init-end link holds a genuine initial
-  // state inside its lifted cube (extract_init_witness), but the later
-  // links' concrete states need not be its successors. Lifting guarantees
-  // every state of a link's cube steps — under the stored inputs — into the
-  // next link's cube (and the last cube forces the violation), so the real
-  // trace is recovered by re-simulating forward from the initial witness
-  // through the stored input vectors.
+  // input vector drives its state into the next one. Every link's cube
+  // fixes every state bit, so its stored values are one concrete execution.
   auto build_cex = [&](std::size_t index) {
     sim::Trace trace(&ts_);
-    std::vector<std::size_t> chain;
     for (std::ptrdiff_t at = static_cast<std::ptrdiff_t>(index); at >= 0;
          at = run.queue.at(static_cast<std::size_t>(at)).parent) {
-      chain.push_back(static_cast<std::size_t>(at));
-    }
-    if (!options_.ternary_lifting) {
-      for (const std::size_t at : chain) {
-        const Obligation& o = run.queue.at(at);
-        sim::Assignment env;
-        for (std::size_t si = 0; si < ts_.states().size(); ++si) {
-          env[ts_.states()[si].var] = o.state_values[si];
-        }
-        for (std::size_t ii = 0; ii < ts_.inputs().size(); ++ii) {
-          env[ts_.inputs()[ii]] = o.input_values[ii];
-        }
-        trace.append(std::move(env));
+      const Obligation& o = run.queue.at(static_cast<std::size_t>(at));
+      sim::Assignment env;
+      for (std::size_t si = 0; si < ts_.states().size(); ++si) {
+        env[ts_.states()[si].var] = o.state_values[si];
       }
-      return trace;
-    }
-    sim::Assignment states;
-    for (std::size_t si = 0; si < ts_.states().size(); ++si) {
-      states[ts_.states()[si].var] = run.queue.at(chain.front()).state_values[si];
-    }
-    for (const std::size_t at : chain) {
-      const Obligation& o = run.queue.at(at);
-      sim::Assignment env = states;
       for (std::size_t ii = 0; ii < ts_.inputs().size(); ++ii) {
         env[ts_.inputs()[ii]] = o.input_values[ii];
       }
-      states = sim::step(ts_, env);
       trace.append(std::move(env));
     }
     return trace;

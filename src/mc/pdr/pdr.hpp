@@ -68,14 +68,6 @@ struct PdrOptions {
   /// Also publish every frame-k blocked clause, tagged with its level
   /// (bounded facts; consumers restrict them to init-rooted frames <= k).
   bool publish_frame_clauses = false;
-  /// Ternary-simulation cube lifting: shrink every extracted predecessor /
-  /// frontier bad-state cube by dropping state bits whose X-valuation still
-  /// forces the bad successor (or the property violation) before
-  /// generalization sees the cube. Off (the default) preserves the legacy
-  /// engine bit for bit; on changes the frame trajectory (usually for the
-  /// better) but never a verdict. Counterexample chains are rebuilt by
-  /// re-simulating through the lifted cubes — see ternary.hpp.
-  bool ternary_lifting = false;
   /// Candidate-lemma frame seeding: admit *unproven* candidate clauses
   /// (`candidate_lemmas`, plus level-tagged clauses fetched from `exchange`)
   /// into the frame database as "may" clauses — assumed in queries behind
@@ -91,11 +83,6 @@ struct PdrOptions {
   /// disjunctions of state-bit literals — can seed; others are skipped.
   /// Ignored unless `seed_candidates` is set.
   std::vector<ir::NodeRef> candidate_lemmas;
-  /// Strikes before a may-candidate is retracted: a candidate implicated in
-  /// a spurious "blocked" answer is only dropped after this many offenses,
-  /// tolerating one-off collisions with rare backward-reachable states.
-  /// 1 = retract on first offense (the legacy policy).
-  std::size_t candidate_strikes = 2;
   /// SAT backend name (see sat::make_backend) and inprocessing toggle,
   /// applied to both of the run's solvers.
   std::string sat_backend = "internal";

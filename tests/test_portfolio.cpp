@@ -320,7 +320,6 @@ testing::AssertionResult stats_conserved(const EngineResult& result) {
       {"restarts", merged.restarts, sum.restarts},
       {"learnt_clauses", merged.learnt_clauses, sum.learnt_clauses},
       {"retired_gates", merged.retired_gates, sum.retired_gates},
-      {"lifted_bits", merged.lifted_bits, sum.lifted_bits},
       {"candidates_seeded", merged.candidates_seeded, sum.candidates_seeded},
       {"candidates_graduated", merged.candidates_graduated, sum.candidates_graduated},
       {"candidates_retracted", merged.candidates_retracted, sum.candidates_retracted},

@@ -1,7 +1,7 @@
 /// Telemetry subsystem tests: runtime-level gating, disabled-mode
 /// zero-allocation, span nesting and thread attribution, instants, histogram
 /// bucket boundaries, registry snapshots and reference stability, trace-JSON
-/// well-formedness (checked with a standalone validator), the heartbeat
+/// well-formedness (checked with the serve JSON reader), the heartbeat
 /// thread, and the thread-safety of the leveled logger.
 ///
 /// NOTE: the first test asserts that no per-thread trace buffer exists yet,
@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <regex>
 #include <sstream>
@@ -19,7 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "serve/json.hpp"
 #include "util/log.hpp"
+#include "util/status.hpp"
 #include "util/telemetry.hpp"
 
 namespace genfv::util {
@@ -169,98 +170,17 @@ TEST(TraceSpans, ConcurrentRecordingIsLosslessPerThread) {
 
 // --- trace JSON -------------------------------------------------------------
 
-/// Minimal standalone JSON validator (objects, arrays, strings, numbers,
-/// true/false/null) — enough for a genuine well-formedness round trip
-/// without a JSON dependency.
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : s_(text) {}
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
+/// Well-formedness through the serve protocol's strict RFC 8259 reader:
+/// malformed numbers, bad escapes and trailing garbage all fail, located at
+/// the offending byte.
+testing::AssertionResult well_formed(const std::string& json) {
+  try {
+    serve::Json::parse(json);
+    return testing::AssertionSuccess();
+  } catch (const ParseError& e) {
+    return testing::AssertionFailure() << e.what() << " in " << json;
   }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') ++pos_;
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-  bool literal(const char* word) {
-    const std::size_t len = std::string(word).size();
-    if (s_.compare(pos_, len, word) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-  char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_])) != 0) ++pos_;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+}
 
 TEST(TraceJson, ExportIsWellFormedAndCarriesEvents) {
   TelemetryGuard guard;
@@ -271,7 +191,7 @@ TEST(TraceJson, ExportIsWellFormedAndCarriesEvents) {
   }
   GENFV_TRACE_INSTANT("exchange", "publish");
   const std::string json = trace_to_json();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_TRUE(well_formed(json));
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"block_one\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
@@ -283,7 +203,7 @@ TEST(TraceJson, ExportIsWellFormedAndCarriesEvents) {
 TEST(TraceJson, EmptyTraceIsStillValid) {
   TelemetryGuard guard;
   const std::string json = trace_to_json();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_TRUE(well_formed(json));
 }
 
 // --- metrics ----------------------------------------------------------------
@@ -342,7 +262,7 @@ TEST(Metrics, RegistryJsonIsWellFormed) {
   metrics().gauge("test.json_gauge").set(-5);
   metrics().histogram("test.json_hist", 2, 4).observe(3);
   const std::string json = metrics().to_json();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_TRUE(well_formed(json));
   EXPECT_NE(json.find("\"test.json_counter\":3"), std::string::npos);
   EXPECT_NE(json.find("\"test.json_gauge\":-5"), std::string::npos);
   EXPECT_NE(json.find("\"test.json_hist\""), std::string::npos);

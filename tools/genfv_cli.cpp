@@ -29,15 +29,9 @@
 ///   --exchange on|off                live lemma exchange between portfolio
 ///                                    members (default: on; no effect on
 ///                                    single engines)
-///   --pdr-ternary on|off             PDR ternary-simulation cube lifting:
-///                                    shrink extracted cubes before
-///                                    generalization (default: off)
 ///   --seed-candidates on|off         seed PDR frames with unproven candidate
 ///                                    lemmas under the may-proof discipline
 ///                                    (default: off; see docs/lemmas.md)
-///   --pdr-strikes <n>                retract a seeded candidate after it is
-///                                    struck by <n> refuting obligations
-///                                    (default: 2; min 1; see docs/lemmas.md)
 ///   --sat-backend <name>             SAT backend for every engine solver
 ///                                    (default: internal — the in-tree CDCL
 ///                                    core; see docs/sat.md)
@@ -115,9 +109,7 @@ struct CliOptions {
   std::string flow = "cex";
   mc::EngineKind engine = mc::EngineKind::KInduction;
   bool exchange = true;
-  bool pdr_ternary = false;
   bool seed_candidates = false;
-  std::size_t pdr_strikes = 2;
   std::string sat_backend = "internal";
   bool sat_inprocess = true;
   std::string drat_out;
@@ -147,8 +139,7 @@ struct CliOptions {
                "  genfv_cli sat <file.cnf> [--sat-backend <name>] [--drat-out <path>]\n"
                "  genfv_cli designs | models\n"
                "options: --flow cex|helper|direct|plain  --engine bmc|kind|pdr|portfolio\n"
-               "         --exchange on|off  --pdr-ternary on|off\n"
-               "         --seed-candidates on|off  --pdr-strikes <n>\n"
+               "         --exchange on|off  --seed-candidates on|off\n"
                "         --sat-backend <name>  --sat-inprocess on|off  --drat-out <path>\n"
                "         --emit-lemmas <file>  --use-lemmas <file>\n"
                "         --model <name>  --seed <n>  --max-k <n>  --no-screen\n"
@@ -241,21 +232,11 @@ CliOptions parse_args(int argc, char** argv) {
       else if (value == "off") opts.exchange = false;
       else usage("--exchange takes 'on' or 'off'");
     }
-    else if (arg == "--pdr-ternary") {
-      const std::string value = need_value("--pdr-ternary");
-      if (value == "on") opts.pdr_ternary = true;
-      else if (value == "off") opts.pdr_ternary = false;
-      else usage("--pdr-ternary takes 'on' or 'off'");
-    }
     else if (arg == "--seed-candidates") {
       const std::string value = need_value("--seed-candidates");
       if (value == "on") opts.seed_candidates = true;
       else if (value == "off") opts.seed_candidates = false;
       else usage("--seed-candidates takes 'on' or 'off'");
-    }
-    else if (arg == "--pdr-strikes") {
-      need_number("--pdr-strikes", &opts.pdr_strikes);
-      if (opts.pdr_strikes == 0) usage("--pdr-strikes takes a strike limit >= 1");
     }
     else if (arg == "--sat-backend") opts.sat_backend = need_value("--sat-backend");
     else if (arg == "--sat-inprocess") {
@@ -374,9 +355,7 @@ int run_plain(flow::VerificationTask& task, const CliOptions& opts) {
   mc::EngineOptions base;
   base.max_steps = opts.max_k;
   base.exchange = opts.exchange;
-  base.pdr_ternary_lifting = opts.pdr_ternary;
   base.pdr_seed_candidates = opts.seed_candidates;
-  base.pdr_candidate_strikes = opts.pdr_strikes;
   base.sat_backend = opts.sat_backend;
   base.sat_inprocess = opts.sat_inprocess;
   base.drat_path = opts.drat_out;
@@ -476,9 +455,7 @@ int run_task(flow::VerificationTask& task, const CliOptions& opts) {
   options.review.sim_screen = opts.sim_screen;
   options.target_engine = opts.engine;
   options.exchange = opts.exchange;
-  options.pdr_ternary = opts.pdr_ternary;
   options.pdr_seed_candidates = opts.seed_candidates;
-  options.pdr_candidate_strikes = opts.pdr_strikes;
   options.engine.sat_backend = opts.sat_backend;
   options.engine.sat_inprocess = opts.sat_inprocess;
   options.engine.drat_path = opts.drat_out;
