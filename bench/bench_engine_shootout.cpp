@@ -22,10 +22,12 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 
 #include "bench_common.hpp"
 #include "flow/session.hpp"
 #include "mc/engine.hpp"
+#include "serve/json.hpp"
 #include "serve/proof_cache.hpp"
 #include "util/telemetry.hpp"
 
@@ -33,6 +35,26 @@ namespace genfv {
 namespace {
 
 constexpr std::size_t kMaxSteps = 12;
+
+/// Write `records` (one JSON object per experiment row) to `path` as a JSON
+/// array with one record per line, so committed BENCH_*.json files diff row
+/// by row. Returns false (with a message on stderr) when the file cannot be
+/// opened.
+bool write_json_records(const std::vector<serve::Json>& records,
+                        const std::string& path) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "cannot write JSON results to '%s'\n", path.c_str());
+    return false;
+  }
+  out << "[\n";
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    out << "  " << records[i].dump() << (i + 1 < records.size() ? ",\n" : "\n");
+  }
+  out << "]\n";
+  std::printf("wrote %zu result record(s) to %s\n", records.size(), path.c_str());
+  return true;
+}
 
 /// A shootout row source: a zoo design (empty path) or a standard-format
 /// file loaded through the frontends. `max_steps` is the per-design step
@@ -60,7 +82,7 @@ std::vector<DesignSource> scan_corpus_dir(const std::string& dir) {
   return sources;
 }
 
-void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
+void run_experiment(std::vector<serve::Json>* json, const std::string& corpus_dir) {
   bench::print_header(
       "E8: engine shootout over the mc::Engine interface",
       "Peled et al. IJCAI'26 motivation, Kumar-Gadde §II-A background",
@@ -149,31 +171,32 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
       }
       table.add_row(row);
       if (json != nullptr) {
-        json->record()
-            .field("design", name)
-            .field("engine", std::string(contender.label))
-            .field("kind", mc::to_string(contender.kind))
-            .field("exchange", contender.exchange)
-            .field("inprocess", contender.sat_inprocess)
-            .field("verdict", mc::to_string(r.verdict))
-            .field("depth", static_cast<std::uint64_t>(r.depth))
-            .field("wall_ms", r.stats.seconds * 1e3)
-            .field("sat_calls", static_cast<std::uint64_t>(r.stats.sat_calls))
-            .field("conflicts", r.stats.conflicts)
-            .field("learnt_clauses", r.stats.learnt_clauses)
-            .field("retired_gates", r.stats.retired_gates)
-            .field("inprocessings", r.stats.inprocessings)
-            .field("subsumed_clauses", r.stats.subsumed_clauses)
-            .field("strengthened_clauses", r.stats.strengthened_clauses)
-            .field("eliminated_vars", r.stats.eliminated_vars)
-            .field("vivified_clauses", r.stats.vivified_clauses);
+        serve::JsonObject rec{
+            {"design", name},
+            {"engine", contender.label},
+            {"kind", mc::to_string(contender.kind)},
+            {"exchange", contender.exchange},
+            {"inprocess", contender.sat_inprocess},
+            {"verdict", mc::to_string(r.verdict)},
+            {"depth", std::uint64_t{r.depth}},
+            {"wall_ms", r.stats.seconds * 1e3},
+            {"sat_calls", std::uint64_t{r.stats.sat_calls}},
+            {"conflicts", r.stats.conflicts},
+            {"learnt_clauses", r.stats.learnt_clauses},
+            {"retired_gates", r.stats.retired_gates},
+            {"inprocessings", r.stats.inprocessings},
+            {"subsumed_clauses", r.stats.subsumed_clauses},
+            {"strengthened_clauses", r.stats.strengthened_clauses},
+            {"eliminated_vars", r.stats.eliminated_vars},
+            {"vivified_clauses", r.stats.vivified_clauses}};
         if (phases) {
-          json->field("blocking_ms", delta_ms("pdr.blocking_ns"))
-              .field("propagate_ms", delta_ms("pdr.propagate_ns"))
-              .field("may_proof_ms", delta_ms("pdr.may_proof_ns"))
-              .field("push_infinity_ms", delta_ms("pdr.push_infinity_ns"))
-              .field("sat_solve_ms", delta_ms("sat.solve_ns"));
+          rec.insert(rec.end(), {{"blocking_ms", delta_ms("pdr.blocking_ns")},
+                                 {"propagate_ms", delta_ms("pdr.propagate_ns")},
+                                 {"may_proof_ms", delta_ms("pdr.may_proof_ns")},
+                                 {"push_infinity_ms", delta_ms("pdr.push_infinity_ns")},
+                                 {"sat_solve_ms", delta_ms("sat.solve_ns")}});
         }
+        json->emplace_back(std::move(rec));
       }
     }
   }
@@ -195,7 +218,7 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
 /// warm rows directly (verdict parity everywhere, >=5x fewer conflicts on
 /// the recertified hits for at least two designs, candidates seeded on
 /// every warm-edit row).
-void run_cache_experiment(bench::JsonRecords* json) {
+void run_cache_experiment(std::vector<serve::Json>* json) {
   bench::print_header(
       "E9: structural proof cache — cold runs vs warm re-verification",
       "Kumar-Gadde §V incremental flows, docs/serve.md",
@@ -228,19 +251,19 @@ void run_cache_experiment(bench::JsonRecords* json) {
                    std::to_string(r.stats.candidates_seeded),
                    util::format_duration(r.stats.seconds)});
     if (json != nullptr) {
-      json->record()
-          .field("design", design)
-          .field("engine", std::string(label))
-          .field("kind", std::string("pdr-cache"))
-          .field("cache", outcome)
-          .field("similarity", similarity)
-          .field("verdict", mc::to_string(r.verdict))
-          .field("depth", static_cast<std::uint64_t>(r.depth))
-          .field("wall_ms", r.stats.seconds * 1e3)
-          .field("sat_calls", static_cast<std::uint64_t>(r.stats.sat_calls))
-          .field("conflicts", r.stats.conflicts)
-          .field("candidates_seeded", r.stats.candidates_seeded)
-          .field("candidates_graduated", r.stats.candidates_graduated);
+      json->emplace_back(serve::JsonObject{
+          {"design", design},
+          {"engine", label},
+          {"kind", "pdr-cache"},
+          {"cache", outcome},
+          {"similarity", similarity},
+          {"verdict", mc::to_string(r.verdict)},
+          {"depth", std::uint64_t{r.depth}},
+          {"wall_ms", r.stats.seconds * 1e3},
+          {"sat_calls", std::uint64_t{r.stats.sat_calls}},
+          {"conflicts", r.stats.conflicts},
+          {"candidates_seeded", r.stats.candidates_seeded},
+          {"candidates_graduated", r.stats.candidates_graduated}});
     }
   };
 
@@ -333,10 +356,10 @@ int main(int argc, char** argv) {
   } else if (!json_path.empty()) {
     genfv::util::set_telemetry_level(genfv::util::TelemetryLevel::Metrics);
   }
-  genfv::bench::JsonRecords json;
+  std::vector<genfv::serve::Json> json;
   genfv::run_experiment(json_path.empty() ? nullptr : &json, corpus_dir);
   genfv::run_cache_experiment(json_path.empty() ? nullptr : &json);
-  if (!json_path.empty() && !json.write(json_path)) return 1;
+  if (!json_path.empty() && !genfv::write_json_records(json, json_path)) return 1;
   if (!trace_path.empty()) {
     if (!genfv::util::write_trace_json(trace_path)) return 1;
     std::printf("wrote trace to %s\n", trace_path.c_str());

@@ -26,8 +26,7 @@ EngineResult certify_invariant(const ir::TransitionSystem& ts,
   // hands every query what is left of it.
   auto make_solver = [&](const char* drat_suffix) {
     return sat::make_backend(
-        {.backend = options.sat_backend,
-         .stop = options.stop.get(),
+        {.stop = options.stop.get(),
          .inprocess = options.sat_inprocess,
          .drat_path = options.drat_path.empty() ? "" : options.drat_path + drat_suffix});
   };

@@ -38,10 +38,10 @@ namespace genfv::mc {
 ///
 /// Reads from `options` only: `stop` (polled before every query and handed
 /// to both solvers), `conflict_budget` (a cap on the whole run: each query
-/// gets what the earlier ones left), `sat_backend`, `sat_inprocess` and
-/// `drat_path` (`<path>_base` / `<path>_step`). Lemmas and candidates are
-/// not assumed — a checker takes nothing on faith; pass lemmas in
-/// `invariant` to have them checked along with it.
+/// gets what the earlier ones left), `sat_inprocess` and `drat_path`
+/// (`<path>_base` / `<path>_step`). Lemmas and candidates are not assumed —
+/// a checker takes nothing on faith; pass lemmas in `invariant` to have them
+/// checked along with it.
 EngineResult certify_invariant(const ir::TransitionSystem& ts,
                                const std::vector<ir::NodeRef>& targets,
                                const std::vector<ir::NodeRef>& invariant,

@@ -49,7 +49,6 @@ EngineOptions to_engine_options(const KInductionOptions& options) {
   out.lemmas = options.lemmas;
   out.conflict_budget = options.conflict_budget;
   out.stop = options.stop;
-  out.sat_backend = options.sat_backend;
   out.sat_inprocess = options.sat_inprocess;
   out.drat_path = options.drat_path;
   return out;
@@ -84,7 +83,6 @@ class BmcEngineAdapter final : public Engine {
     opts.stop = options_.stop;
     opts.exchange = options_.exchange_mailbox;
     opts.exchange_slot = options_.exchange_slot;
-    opts.sat_backend = options_.sat_backend;
     opts.sat_inprocess = options_.sat_inprocess;
     opts.drat_path = options_.drat_path;
     BmcEngine engine(ts_, std::move(opts));
@@ -119,7 +117,6 @@ class KInductionEngineAdapter final : public Engine {
     opts.stop = options_.stop;
     opts.exchange = options_.exchange_mailbox;
     opts.exchange_slot = options_.exchange_slot;
-    opts.sat_backend = options_.sat_backend;
     opts.sat_inprocess = options_.sat_inprocess;
     opts.drat_path = options_.drat_path;
     KInductionEngine engine(ts_, std::move(opts));
@@ -155,10 +152,8 @@ class PdrEngineAdapter final : public Engine {
     opts.stop = options_.stop;
     opts.exchange = options_.exchange_mailbox;
     opts.exchange_slot = options_.exchange_slot;
-    opts.publish_frame_clauses = options_.exchange_frame_clauses;
     opts.seed_candidates = options_.pdr_seed_candidates;
     opts.candidate_lemmas = options_.pdr_candidate_lemmas;
-    opts.sat_backend = options_.sat_backend;
     opts.sat_inprocess = options_.sat_inprocess;
     opts.drat_path = options_.drat_path;
     pdr::PdrEngine engine(ts_, std::move(opts));

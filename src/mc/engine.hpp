@@ -57,8 +57,7 @@ struct EngineOptions {
   /// Best-effort SAT conflict cap per run; -1 = unlimited.
   std::int64_t conflict_budget = -1;
   /// PDR only: seed frames with *candidate* (unproven) clauses under the
-  /// may-proof discipline — from `pdr_candidate_lemmas` and, inside an
-  /// exchanging portfolio, from level-tagged mailbox clauses. Candidates are
+  /// may-proof discipline — from `pdr_candidate_lemmas`. Candidates are
   /// assumed behind retractable gates, never exported, and only graduate
   /// into real frame clauses through a clean relative-induction proof; a
   /// wrong candidate can cost work, never soundness (docs/lemmas.md).
@@ -76,9 +75,6 @@ struct EngineOptions {
   /// cancellation. The portfolio sets the flag once a member returns a
   /// conclusive verdict, which is what cancels the losing engines.
   std::shared_ptr<std::atomic<bool>> stop;
-  /// SAT backend every engine solves through (see sat::make_backend);
-  /// "internal" = the in-tree CDCL core, the only built-in.
-  std::string sat_backend = "internal";
   /// SAT inprocessing (subsumption/strengthening, bounded variable
   /// elimination, vivification) plus the LBD-tiered learnt-clause policy.
   /// Off pins the solver bit-for-bit to the plain-CDCL behavior.
@@ -90,9 +86,6 @@ struct EngineOptions {
   std::string drat_path;
 
   // --- portfolio only -------------------------------------------------------
-  /// Member engines, in launch (threaded) / slice (time-sliced) order.
-  /// Empty = {Bmc, KInduction, Pdr}. Must not contain Portfolio itself.
-  std::vector<EngineKind> portfolio_engines;
   /// true: one std::thread per member over a private clone of the system;
   /// false: deterministic single-threaded round-robin over doubling step
   /// budgets (reproducible run-to-run; no clones, no threads — meant for CI
@@ -103,10 +96,6 @@ struct EngineOptions {
   /// members absorb them mid-race. Sound — exchange can change which member
   /// wins and how fast, never the verdict. Ignored outside the portfolio.
   bool exchange = true;
-  /// Additionally exchange PDR's level-tagged frame clauses (facts bounded
-  /// to "reachable in <= level steps"). Consumers assert them only on
-  /// init-rooted frames <= level — see exchange.hpp for the soundness rules.
-  bool exchange_frame_clauses = false;
 
   // --- portfolio-member wiring (set by the portfolio, not by callers) -------
   /// Mailbox this engine publishes to / polls from; nullptr = no exchange.
@@ -182,8 +171,7 @@ class Engine {
 };
 
 /// Instantiate an engine over `ts`. The transition system must outlive the
-/// returned engine. Throws UsageError for a portfolio that lists Portfolio
-/// among its own members.
+/// returned engine.
 std::unique_ptr<Engine> make_engine(EngineKind kind, const ir::TransitionSystem& ts,
                                     const EngineOptions& options = {});
 

@@ -24,8 +24,7 @@ InductionResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& prop
 
   auto make_solver = [&](const char* drat_suffix) {
     return sat::make_backend(
-        {.backend = options_.sat_backend,
-         .conflict_budget = options_.conflict_budget,
+        {.conflict_budget = options_.conflict_budget,
          .stop = options_.stop.get(),
          .inprocess = options_.sat_inprocess,
          .drat_path = options_.drat_path.empty() ? "" : options_.drat_path + drat_suffix});
@@ -42,22 +41,12 @@ InductionResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& prop
   // Invariants asserted on every materialized frame of both cases: the
   // seeded lemmas plus any proven clauses absorbed from the live exchange.
   std::vector<ir::NodeRef> invariants = options_.lemmas;
-  // Level-tagged exchange clauses: sound only on init-rooted frames <= level
-  // (base case), never in the arbitrary-start step case.
-  std::vector<std::pair<ir::NodeRef, std::size_t>> bounded;
   std::size_t base_lemma_frames = 0;
   std::size_t step_lemma_frames = 0;
-  auto assert_base_upto = [&](std::size_t frame) {
-    for (; base_lemma_frames <= frame; ++base_lemma_frames) {
-      for (const ir::NodeRef inv : invariants) base.assert_at(inv, base_lemma_frames);
-      for (const auto& [expr, level] : bounded) {
-        if (base_lemma_frames <= level) base.assert_at(expr, base_lemma_frames);
-      }
-    }
-  };
-  auto assert_step_upto = [&](std::size_t frame) {
-    for (; step_lemma_frames <= frame; ++step_lemma_frames) {
-      for (const ir::NodeRef inv : invariants) step.assert_at(inv, step_lemma_frames);
+  // Assert the invariants on `unroller`'s frames from `*done` up to `frame`.
+  auto assert_upto = [&](Unroller& unroller, std::size_t* done, std::size_t frame) {
+    for (; *done <= frame; ++*done) {
+      for (const ir::NodeRef inv : invariants) unroller.assert_at(inv, *done);
     }
   };
 
@@ -75,17 +64,10 @@ InductionResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& prop
       if (!absorb_filter.admit(clause)) continue;
       const ir::NodeRef expr = materialize(clause, ts_);
       if (expr == nullptr) continue;
-      if (clause.proven()) {
-        invariants.push_back(expr);
-        result.invariant.push_back(expr);
-        for (std::size_t f = 0; f < base_lemma_frames; ++f) base.assert_at(expr, f);
-        for (std::size_t f = 0; f < step_lemma_frames; ++f) step.assert_at(expr, f);
-      } else {
-        bounded.emplace_back(expr, clause.level);
-        for (std::size_t f = 0; f < base_lemma_frames && f <= clause.level; ++f) {
-          base.assert_at(expr, f);
-        }
-      }
+      invariants.push_back(expr);
+      result.invariant.push_back(expr);
+      for (std::size_t f = 0; f < base_lemma_frames; ++f) base.assert_at(expr, f);
+      for (std::size_t f = 0; f < step_lemma_frames; ++f) step.assert_at(expr, f);
       ++absorbed;
     }
     options_.exchange->note_absorbed(options_.exchange_slot, absorbed);
@@ -108,7 +90,7 @@ InductionResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& prop
     poll_exchange();
     // ---- Base case: no violation at depth k-1 from the initial states.
     base.extend_to(k - 1);
-    assert_base_upto(k - 1);
+    assert_upto(base, &base_lemma_frames, k - 1);
     const sat::Lit bad_base = ~base.lit_at(prop, k - 1);
     const sat::LBool base_answer = base_solver.solve({bad_base});
     if (base_answer == sat::LBool::True) {
@@ -122,7 +104,7 @@ InductionResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& prop
 
     // ---- Inductive step: P on frames 0..k-1 forces P at frame k.
     step.extend_to(k);
-    assert_step_upto(k);
+    assert_upto(step, &step_lemma_frames, k);
     if (options_.simple_path) {
       // New frame k must differ from every earlier frame.
       for (std::size_t i = 0; i < k; ++i) step.assert_states_differ(i, k);

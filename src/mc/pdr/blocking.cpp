@@ -6,22 +6,6 @@
 
 namespace genfv::mc::pdr {
 
-ExchangedClause to_exchanged(const Cube& cube, std::size_t level) {
-  ExchangedClause out;
-  out.level = level;
-  out.lits.reserve(cube.size());
-  for (const StateLit& l : cube) out.lits.push_back({l.state, l.bit, l.negated});
-  return out;
-}
-
-void record_blocked(FrameDb& db, const PdrOptions& options, const Cube& cube,
-                    std::size_t level) {
-  db.add_blocked(cube, level);
-  if (options.exchange != nullptr && options.publish_frame_clauses) {
-    options.exchange->publish(options.exchange_slot, to_exchanged(cube, level));
-  }
-}
-
 namespace {
 
 /// Drain the obligation queue: pop the lowest-level obligation and either
@@ -48,7 +32,7 @@ BlockOutcome handle_obligations(QueryContext& ctx, FrameDb& db, ObligationQueue&
     if (answer == sat::LBool::False) {
       // Unreachable from F_{level-1}: learn a generalized blocking clause and
       // push it as far forward as it stays relatively inductive.
-      const Cube g = generalize(ctx, cube, level, core, options);
+      const Cube g = generalize(ctx, cube, level, core);
       const std::size_t frontier = db.frontier();
       std::size_t at = level;
       while (at < frontier &&
@@ -56,7 +40,7 @@ BlockOutcome handle_obligations(QueryContext& ctx, FrameDb& db, ObligationQueue&
                  sat::LBool::False) {
         ++at;
       }
-      record_blocked(db, options, g, at);
+      db.add_blocked(g, at);
       if (at < frontier) {
         queue.at(index).level = at + 1;
         queue.push(index);

@@ -20,14 +20,6 @@ enum class BlockOutcome {
   Budget,           ///< conflict/obligation budget or the stop flag fired
 };
 
-/// Translate a manager-neutral cube into the exchange wire form.
-ExchangedClause to_exchanged(const Cube& cube, std::size_t level);
-
-/// Record `cube` as blocked at `level` in the database and (when
-/// frame-clause publishing is on) push it to the exchange mailbox.
-void record_blocked(FrameDb& db, const PdrOptions& options, const Cube& cube,
-                    std::size_t level);
-
 /// One full frontier-strengthening phase: enumerate frontier bad states one
 /// at a time and fully block (or refute) each before the next query. On
 /// Counterexample, `*cex_index` is the arena index of the init-state end of

@@ -9,8 +9,7 @@ QueryContext::QueryContext(const ir::TransitionSystem& ts, ir::NodeRef property,
                            const std::vector<ir::NodeRef>& lemmas,
                            const PdrOptions& options, FrameDb& db)
     : ts_(ts), options_(options), db_(db) {
-  sat::SolverConfig config{.backend = options_.sat_backend,
-                           .conflict_budget = options_.conflict_budget,
+  sat::SolverConfig config{.conflict_budget = options_.conflict_budget,
                            .stop = options_.stop.get(),
                            .inprocess = options_.sat_inprocess,
                            .drat_path = options_.drat_path};

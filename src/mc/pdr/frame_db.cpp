@@ -48,8 +48,7 @@ void FrameDb::add_infinity(Cube cube) {
 std::optional<std::size_t> FrameDb::seed_may(Cube cube) {
   // Keyed on the same encoder as the mailbox AbsorbFilter (exchange_key), so
   // the two dedupe layers can never disagree on what "the same clause" is.
-  // kInfinityLevel stands in for "level-less": may clauses carry no bound.
-  if (!may_keys_.insert(mc::exchange_key(cube, kInfinityLevel)).second) {
+  if (!may_keys_.insert(mc::exchange_key(cube)).second) {
     return std::nullopt;
   }
   const std::size_t id = next_may_id_++;

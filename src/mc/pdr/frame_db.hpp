@@ -39,9 +39,7 @@
 
 namespace genfv::mc::pdr {
 
-/// Pseudo-level of F_∞ (clauses certified invariant). Numerically equal to
-/// `mc::kExchangeProvenLevel`, so graduation events translate directly into
-/// proven exchange clauses.
+/// Pseudo-level of F_∞ (clauses certified invariant).
 inline constexpr std::size_t kInfinityLevel = std::numeric_limits<std::size_t>::max();
 
 /// Spurious-blocked offenses before strike_may retracts a candidate: one

@@ -41,7 +41,7 @@ struct PdrRun {
   FrameDb db;
   ObligationQueue queue;
   QueryContext ctx;
-  /// Candidate intake from the exchange mailbox (seed_candidates only):
+  /// Exchange mailbox intake (seed_candidates only):
   /// caller-owned cursor plus the standard consumer-side dedupe.
   std::size_t mailbox_cursor = 0;
   AbsorbFilter absorb_filter;
@@ -127,11 +127,10 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     }
   }
 
-  // Mailbox intake (seed_candidates only): proven clauses are invariants of
+  // Mailbox intake (seed_candidates only): fetched clauses are invariants of
   // this very system and join F_∞ directly — each publisher's F_∞ set is
   // mutually inductive relative to the shared lemmas, so the exported
-  // certificate stays inductive (docs/lemmas.md). Level-tagged clauses are
-  // merely bounded facts here and enter as candidates instead.
+  // certificate stays inductive (docs/lemmas.md).
   auto poll_mailbox = [&] {
     if (!options_.seed_candidates || options_.exchange == nullptr) return;
     const auto fetched =
@@ -141,12 +140,8 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
       if (!run.absorb_filter.admit(clause)) continue;
       const auto cube = mailbox_cube(clause, ts_);
       if (!cube.has_value()) continue;
-      if (clause.proven()) {
-        run.db.add_infinity(*cube);
-        ++absorbed;
-      } else if (run.db.seed_may(*cube).has_value()) {
-        ++absorbed;
-      }
+      run.db.add_infinity(*cube);
+      ++absorbed;
     }
     if (absorbed != 0) {
       options_.exchange->note_absorbed(options_.exchange_slot, absorbed);
@@ -235,7 +230,7 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     {
       GENFV_TRACE_SPAN("pdr", "propagate");
       util::ScopedTimerNs timer(propagate_ns);
-      if (propagate_all(ctx, run.db, options_) == PropagateOutcome::Budget) {
+      if (propagate_all(ctx, run.db) == PropagateOutcome::Budget) {
         return finish(Verdict::Unknown, frontier);
       }
     }

@@ -48,9 +48,6 @@ struct PdrOptions {
   std::vector<ir::NodeRef> lemmas;
   /// Best-effort cap on SAT conflicts per solve; -1 = unlimited.
   std::int64_t conflict_budget = -1;
-  /// After the unsat-core shrink, greedily try dropping the remaining cube
-  /// literals one at a time (MIC-style). More SAT calls, stronger clauses.
-  bool generalize_drop = true;
   /// Safety valve: total proof obligations before giving up (Unknown).
   std::size_t max_obligations = 100000;
   /// Cooperative cancellation: polled per obligation, per propagation pass
@@ -65,13 +62,10 @@ struct PdrOptions {
   /// strengthens PDR itself).
   std::shared_ptr<LemmaMailbox> exchange;
   std::size_t exchange_slot = 0;
-  /// Also publish every frame-k blocked clause, tagged with its level
-  /// (bounded facts; consumers restrict them to init-rooted frames <= k).
-  bool publish_frame_clauses = false;
   /// Candidate-lemma frame seeding: admit *unproven* candidate clauses
-  /// (`candidate_lemmas`, plus level-tagged clauses fetched from `exchange`)
-  /// into the frame database as "may" clauses — assumed in queries behind
-  /// dedicated activation gates, never exported, never pushed to F_∞.
+  /// (`candidate_lemmas`) into the frame database as "may" clauses —
+  /// assumed in queries behind dedicated activation gates, never exported,
+  /// never pushed to F_∞.
   /// A may-proof pass graduates candidates whose mutual relative-induction
   /// check succeeds into ordinary frame clauses; a candidate implicated in a
   /// spurious "blocked" answer (a may-contaminated UNSAT whose clean re-run
@@ -83,9 +77,7 @@ struct PdrOptions {
   /// disjunctions of state-bit literals — can seed; others are skipped.
   /// Ignored unless `seed_candidates` is set.
   std::vector<ir::NodeRef> candidate_lemmas;
-  /// SAT backend name (see sat::make_backend) and inprocessing toggle,
-  /// applied to both of the run's solvers.
-  std::string sat_backend = "internal";
+  /// SAT inprocessing toggle, applied to both of the run's solvers.
   bool sat_inprocess = true;
   /// When non-empty, the transition solver logs a DRAT proof to
   /// `<drat_path>` and the initiation solver to `<drat_path>-p1`.

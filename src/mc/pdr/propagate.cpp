@@ -1,11 +1,20 @@
 #include "mc/pdr/propagate.hpp"
 
-#include "mc/pdr/blocking.hpp"
-
 namespace genfv::mc::pdr {
 
-PropagateOutcome propagate_all(QueryContext& ctx, FrameDb& db,
-                               const PdrOptions& options) {
+namespace {
+
+/// Translate a manager-neutral cube into the exchange wire form.
+ExchangedClause to_exchanged(const Cube& cube) {
+  ExchangedClause out;
+  out.lits.reserve(cube.size());
+  for (const StateLit& l : cube) out.lits.push_back({l.state, l.bit, l.negated});
+  return out;
+}
+
+}  // namespace
+
+PropagateOutcome propagate_all(QueryContext& ctx, FrameDb& db) {
   const std::size_t frontier = db.frontier();
   for (std::size_t i = 1; i < frontier; ++i) {
     if (ctx.stopped()) return PropagateOutcome::Budget;
@@ -15,7 +24,7 @@ PropagateOutcome propagate_all(QueryContext& ctx, FrameDb& db,
       const sat::LBool answer =
           ctx.relative_query(cube, i + 1, /*assume_not_cube=*/false, nullptr);
       if (answer == sat::LBool::Undef) return PropagateOutcome::Budget;
-      if (answer == sat::LBool::False) record_blocked(db, options, cube, i + 1);
+      if (answer == sat::LBool::False) db.add_blocked(cube, i + 1);
     }
   }
   return PropagateOutcome::Done;
@@ -73,7 +82,7 @@ bool may_proof_pass(QueryContext& ctx, FrameDb& db, const PdrOptions& options) {
     // Graduation order matters: remove the may entry first so the frame
     // clause that replaces it is never double-counted by is_blocked.
     if (!db.graduate_may(m.id)) continue;  // already retracted
-    if (!db.is_blocked(m.cube, level)) record_blocked(db, options, m.cube, level);
+    if (!db.is_blocked(m.cube, level)) db.add_blocked(m.cube, level);
   }
   return true;
 }
@@ -115,7 +124,7 @@ bool push_to_infinity(QueryContext& ctx, FrameDb& db, const PdrOptions& options)
   for (const Cube& c : cand) {
     db.graduate(c, frontier);
     if (options.exchange != nullptr) {
-      batch.push_back(to_exchanged(c, kExchangeProvenLevel));
+      batch.push_back(to_exchanged(c));
     }
   }
   // One atomic publish: the survivors are only *jointly* inductive, and an

@@ -20,7 +20,7 @@ enum class PropagateOutcome {
 };
 
 /// Propagation over levels 1..frontier-1.
-PropagateOutcome propagate_all(QueryContext& ctx, FrameDb& db, const PdrOptions& options);
+PropagateOutcome propagate_all(QueryContext& ctx, FrameDb& db);
 
 /// The may-proof pass (PdrOptions::seed_candidates; no-op otherwise): try to
 /// graduate candidate ("may") clauses into ordinary frame clauses.

@@ -1,12 +1,12 @@
 #include "mc/portfolio.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <thread>
 #include <utility>
 
 #include "ir/clone.hpp"
-#include "util/status.hpp"
 #include "util/stopwatch.hpp"
 #include "util/telemetry.hpp"
 #include "util/thread_safety.hpp"
@@ -14,6 +14,10 @@
 namespace genfv::mc {
 
 namespace {
+
+/// Member engines, in launch (threaded) / slice (time-sliced) order.
+constexpr std::array<EngineKind, 3> kMembers = {EngineKind::Bmc, EngineKind::KInduction,
+                                                EngineKind::Pdr};
 
 bool conclusive(Verdict v) noexcept { return v != Verdict::Unknown; }
 
@@ -24,7 +28,7 @@ const char* member_span_name(EngineKind kind) noexcept {
     case EngineKind::Bmc: return "member:bmc";
     case EngineKind::KInduction: return "member:k-induction";
     case EngineKind::Pdr: return "member:pdr";
-    case EngineKind::Portfolio: break;  // never a member (ctor rejects it)
+    case EngineKind::Portfolio: break;  // never a member
   }
   return "member:?";
 }
@@ -48,17 +52,7 @@ sim::Trace translate_trace(const sim::Trace& trace, ir::SystemClone& clone,
 }  // namespace
 
 PortfolioEngine::PortfolioEngine(const ir::TransitionSystem& ts, EngineOptions options)
-    : ts_(ts), options_(std::move(options)) {
-  members_ = options_.portfolio_engines;
-  if (members_.empty()) {
-    members_ = {EngineKind::Bmc, EngineKind::KInduction, EngineKind::Pdr};
-  }
-  for (const EngineKind kind : members_) {
-    if (kind == EngineKind::Portfolio) {
-      throw UsageError("portfolio cannot contain itself as a member");
-    }
-  }
-}
+    : ts_(ts), options_(std::move(options)) {}
 
 EngineResult PortfolioEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   if (options_.max_steps == 0) {
@@ -66,7 +60,7 @@ EngineResult PortfolioEngine::prove_all(const std::vector<ir::NodeRef>& properti
     // uniformly instead of letting the time-sliced mode build a {0} budget
     // schedule (and the threaded mode race three no-op engines).
     EngineResult out;
-    for (const EngineKind kind : members_) {
+    for (const EngineKind kind : kMembers) {
       EngineBreakdown b;
       b.engine = to_string(kind);
       b.note = "zero step budget";
@@ -88,7 +82,6 @@ EngineOptions member_options(const EngineOptions& portfolio, EngineKind kind,
                              const std::shared_ptr<LemmaMailbox>& mailbox,
                              std::size_t slot) {
   EngineOptions opts = portfolio;
-  opts.portfolio_engines.clear();  // members never recurse into a portfolio
   opts.exchange_mailbox = mailbox;
   opts.exchange_slot = slot;
   // Members run the same solver roles (BMC and PDR both write a bare
@@ -101,7 +94,7 @@ EngineOptions member_options(const EngineOptions& portfolio, EngineKind kind,
 
 EngineResult PortfolioEngine::run_threaded(const std::vector<ir::NodeRef>& properties) {
   util::Stopwatch watch;
-  const std::size_t n = members_.size();
+  const std::size_t n = kMembers.size();
 
   // Clone the system once per member and translate every input expression —
   // all on this thread, before any worker exists (NodeManager is not
@@ -150,17 +143,17 @@ EngineResult PortfolioEngine::run_threaded(const std::vector<ir::NodeRef>& prope
   for (std::size_t i = 0; i < n; ++i) {
     workers.emplace_back([&, i] {
       if (util::tracing_on()) {
-        util::set_trace_thread_name(std::string("portfolio-") + to_string(members_[i]));
+        util::set_trace_thread_name(std::string("portfolio-") + to_string(kMembers[i]));
       }
-      GENFV_TRACE_SPAN("portfolio", member_span_name(members_[i]));
+      GENFV_TRACE_SPAN("portfolio", member_span_name(kMembers[i]));
       EngineResult r;
       std::string note;
       try {
-        EngineOptions opts = member_options(options_, members_[i], mailbox, i);
+        EngineOptions opts = member_options(options_, kMembers[i], mailbox, i);
         opts.lemmas = member_lemmas[i];  // translated into this member's clone
         opts.pdr_candidate_lemmas = member_candidates[i];
         opts.stop = cancel;
-        auto engine = make_engine(members_[i], clones[i]->system(), opts);
+        auto engine = make_engine(kMembers[i], clones[i]->system(), opts);
         r = engine->prove_all(member_props[i]);
       } catch (const std::exception& e) {
         // Anything escaping the thread body would std::terminate the whole
@@ -213,7 +206,7 @@ EngineResult PortfolioEngine::run_threaded(const std::vector<ir::NodeRef>& prope
   EngineResult out;
   for (std::size_t i = 0; i < n; ++i) {
     EngineBreakdown b;
-    b.engine = to_string(members_[i]);
+    b.engine = to_string(kMembers[i]);
     b.verdict = results[i].verdict;
     b.depth = results[i].depth;
     b.stats = results[i].stats;
@@ -230,7 +223,7 @@ EngineResult PortfolioEngine::run_threaded(const std::vector<ir::NodeRef>& prope
     EngineResult& won = results[w];
     out.verdict = won.verdict;
     out.depth = won.depth;
-    out.winner = to_string(members_[w]);
+    out.winner = to_string(kMembers[w]);
     if (won.cex.has_value()) {
       out.cex = translate_trace(*won.cex, *clones[w], ts_);
     }
@@ -254,7 +247,7 @@ EngineResult PortfolioEngine::run_threaded(const std::vector<ir::NodeRef>& prope
 
 EngineResult PortfolioEngine::run_time_sliced(const std::vector<ir::NodeRef>& properties) {
   util::Stopwatch watch;
-  const std::size_t n = members_.size();
+  const std::size_t n = kMembers.size();
 
   // Iterative deepening: every member gets a slice at each budget before any
   // member gets a deeper one, so a cheap conclusive verdict at a small bound
@@ -278,7 +271,7 @@ EngineResult PortfolioEngine::run_time_sliced(const std::vector<ir::NodeRef>& pr
 
   EngineResult out;
   std::vector<EngineBreakdown> breakdown(n);
-  for (std::size_t i = 0; i < n; ++i) breakdown[i].engine = to_string(members_[i]);
+  for (std::size_t i = 0; i < n; ++i) breakdown[i].engine = to_string(kMembers[i]);
 
   auto finish = [&](std::ptrdiff_t winner, EngineResult member_result) {
     if (winner >= 0) {
@@ -287,7 +280,7 @@ EngineResult PortfolioEngine::run_time_sliced(const std::vector<ir::NodeRef>& pr
       out.depth = member_result.depth;
       out.cex = std::move(member_result.cex);
       out.invariant = std::move(member_result.invariant);
-      out.winner = to_string(members_[w]);
+      out.winner = to_string(kMembers[w]);
       out.step_cex.reset();  // stale artefact from an earlier, shallower slice
     }
     for (std::size_t i = 0; i < n; ++i) {
@@ -310,11 +303,11 @@ EngineResult PortfolioEngine::run_time_sliced(const std::vector<ir::NodeRef>& pr
         return finish(-1, {});
       }
       EngineResult r;
-      GENFV_TRACE_SPAN("portfolio", member_span_name(members_[i]));
+      GENFV_TRACE_SPAN("portfolio", member_span_name(kMembers[i]));
       try {
-        EngineOptions opts = member_options(options_, members_[i], mailbox, i);
+        EngineOptions opts = member_options(options_, kMembers[i], mailbox, i);
         opts.max_steps = budget;
-        auto engine = make_engine(members_[i], ts_, opts);
+        auto engine = make_engine(kMembers[i], ts_, opts);
         r = engine->prove_all(properties);
       } catch (const std::exception& e) {
         breakdown[i].note = e.what();

@@ -40,8 +40,7 @@ namespace genfv::mc {
 
 class PortfolioEngine final : public Engine {
  public:
-  /// `ts` must outlive the engine. Throws UsageError when
-  /// `options.portfolio_engines` contains EngineKind::Portfolio.
+  /// `ts` must outlive the engine.
   PortfolioEngine(const ir::TransitionSystem& ts, EngineOptions options);
 
   EngineKind kind() const noexcept override { return EngineKind::Portfolio; }
@@ -55,7 +54,6 @@ class PortfolioEngine final : public Engine {
 
   const ir::TransitionSystem& ts_;
   EngineOptions options_;
-  std::vector<EngineKind> members_;
 };
 
 }  // namespace genfv::mc

@@ -2,7 +2,6 @@
 
 #include "sat/solver.hpp"
 #include "util/status.hpp"
-#include "util/strings.hpp"
 
 namespace genfv::sat {
 
@@ -17,10 +16,6 @@ Lit Backend::true_lit() {
 }
 
 std::unique_ptr<Backend> make_backend(const SolverConfig& config) {
-  if (config.backend != "internal") {
-    throw UsageError("unknown SAT backend '" + config.backend + "' (known: " +
-                     util::join(backend_names(), ", ") + ")");
-  }
   std::unique_ptr<Backend> solver = std::make_unique<Solver>();
   solver->set_conflict_budget(config.conflict_budget);
   solver->set_stop_flag(config.stop);
@@ -29,7 +24,5 @@ std::unique_ptr<Backend> make_backend(const SolverConfig& config) {
   if (!config.drat_path.empty()) solver->start_proof(config.drat_path);
   return solver;
 }
-
-std::vector<std::string> backend_names() { return {"internal"}; }
 
 }  // namespace genfv::sat

@@ -16,10 +16,9 @@
 /// without proof support returns false from `start_proof` (callers then
 /// simply get no certificate). The in-tree solver implements all of them.
 ///
-/// Backends are constructed through `make_backend(config)`, which also
-/// applies the budget, stop flag, inprocessing and proof settings every
-/// engine solver needs; `"internal"` is the in-tree solver and the default
-/// everywhere.
+/// Backends are constructed through `make_backend(config)`, which builds the
+/// in-tree solver and applies the budget, stop flag, inprocessing and proof
+/// settings every engine solver needs.
 
 #include <atomic>
 #include <cstdint>
@@ -148,8 +147,6 @@ class Backend {
 
 /// Everything an engine sets on a fresh solver before its first clause.
 struct SolverConfig {
-  /// Registry name (see backend_names); "internal" = in-tree CDCL.
-  std::string backend = "internal";
   /// Best-effort conflict cap per solve(); -1 = unlimited.
   std::int64_t conflict_budget = -1;
   /// Cooperative cancellation flag (read-only, relaxed); may be nullptr.
@@ -162,11 +159,7 @@ struct SolverConfig {
   std::string drat_path;
 };
 
-/// Construct a configured backend. Throws util::UsageError for unknown
-/// backend names, listing the registry.
+/// Construct a configured backend: the in-tree CDCL solver.
 std::unique_ptr<Backend> make_backend(const SolverConfig& config = {});
-
-/// Names accepted by make_backend.
-std::vector<std::string> backend_names();
 
 }  // namespace genfv::sat

@@ -138,7 +138,6 @@ bool ProofCache::store(const std::string& design, const ir::TransitionSystem& ts
       return false;
     }
     mc::ExchangedClause clause;
-    clause.level = mc::kExchangeProvenLevel;
     clause.lits.reserve(cube->size());
     for (const auto& lit : *cube) {
       clause.lits.push_back(mc::ExchangedLit{lit.state, lit.bit, lit.negated});
@@ -300,7 +299,6 @@ class EntryParser {
 
   mc::ExchangedClause parse_clause(const std::string& body) {
     mc::ExchangedClause clause;
-    clause.level = mc::kExchangeProvenLevel;
     std::istringstream fields(body);
     std::string token;
     while (fields >> token) {

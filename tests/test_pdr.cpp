@@ -547,10 +547,10 @@ TEST(PdrCube, ExchangeKeyIsSharedBetweenCubesAndMailboxClauses) {
   // the same fact identically, whichever lit struct carries it.
   const Cube cube{{2, 5, true}, {0, 1, false}};
   mc::ExchangedClause clause;
-  clause.level = 7;
   for (const StateLit& l : cube) clause.lits.push_back({l.state, l.bit, l.negated});
-  EXPECT_EQ(mc::exchange_key(cube, 7), mc::exchange_key(clause));
-  EXPECT_NE(mc::exchange_key(cube, 7), mc::exchange_key(cube, 8));
+  EXPECT_EQ(mc::exchange_key(cube), mc::exchange_key(clause));
+  const Cube other{{2, 5, false}, {0, 1, false}};
+  EXPECT_NE(mc::exchange_key(cube), mc::exchange_key(other));
 }
 
 TEST(PdrCube, CubeOfClauseRoundTripsAndRejectsNonClauses) {
@@ -687,9 +687,9 @@ TEST(PdrSeeding, NonClauseCandidatesAreSkipped) {
   EXPECT_EQ(result.stats.candidates_seeded, 0u);
 }
 
-TEST(PdrSeeding, MailboxFeedsInfinityAndCandidates) {
-  // A racing publisher's proven clause joins F_∞ directly; its level-tagged
-  // clause only ever enters as a may candidate. Both count as absorbed.
+TEST(PdrSeeding, MailboxFeedsInfinity) {
+  // A racing publisher's proven clause joins F_∞ directly, never as a may
+  // candidate, and counts as absorbed once.
   auto ts = stride_counter(8, 2);
   auto& nm = ts.nm();
   const NodeRef count = ts.lookup("count");
@@ -698,13 +698,9 @@ TEST(PdrSeeding, MailboxFeedsInfinityAndCandidates) {
   auto mailbox = std::make_shared<LemmaMailbox>(2);
   mc::ExchangedClause proven;
   proven.lits = {{0, 0, false}};  // clause !count[0], a true invariant
-  proven.level = kExchangeProvenLevel;
-  mc::ExchangedClause bounded;
-  bounded.lits = {{0, 2, false}};  // clause !count[2]: true only within 1 step
-  bounded.level = 1;
   // Batch publish, as push_to_infinity does for jointly-inductive sets.
-  mailbox->publish_batch(1, {proven, bounded});
-  EXPECT_EQ(mailbox->published_by(1), 2u);
+  mailbox->publish_batch(1, {proven});
+  EXPECT_EQ(mailbox->published_by(1), 1u);
 
   PdrOptions options;
   options.max_frames = 16;
@@ -714,8 +710,8 @@ TEST(PdrSeeding, MailboxFeedsInfinityAndCandidates) {
   PdrEngine engine(ts, options);
   const PdrResult result = engine.prove(prop);
   EXPECT_EQ(result.verdict, Verdict::Proven);
-  EXPECT_GE(mailbox->absorbed_by(0), 2u);
-  EXPECT_EQ(result.stats.candidates_seeded, 1u);  // only the bounded clause
+  EXPECT_EQ(mailbox->absorbed_by(0), 1u);
+  EXPECT_EQ(result.stats.candidates_seeded, 0u);
   EXPECT_TRUE(check_invariant(ts, result.invariant, {}, prop));
 }
 

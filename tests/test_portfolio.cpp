@@ -406,13 +406,6 @@ TEST(Portfolio, SeededLemmasReachEveryMemberClone) {
   EXPECT_FALSE(result.winner.empty());
 }
 
-TEST(Portfolio, RejectsItselfAsMember) {
-  auto task = designs::make_task("token_ring");
-  EngineOptions options;
-  options.portfolio_engines = {EngineKind::Pdr, EngineKind::Portfolio};
-  EXPECT_THROW(make_engine(EngineKind::Portfolio, task.ts, options), UsageError);
-}
-
 TEST(Portfolio, UnknownRaceForwardsAStepCexForTheRepairLoop) {
   // No member concludes on sync_counters without help, but k-induction
   // produces the induction-step artefact — the portfolio must forward it so
@@ -434,15 +427,16 @@ TEST(Portfolio, UnknownRaceForwardsAStepCexForTheRepairLoop) {
 
 TEST(LemmaMailbox, FetchSkipsOwnClausesAndHonorsCallerCursor) {
   LemmaMailbox mailbox(2);
-  mailbox.publish(0, {{{0, 0, false}}, kExchangeProvenLevel});
-  mailbox.publish(1, {{{0, 1, true}}, 3});
-  mailbox.publish(0, {{{0, 2, false}}, kExchangeProvenLevel});
+  mailbox.publish(0, {{{0, 0, false}}});
+  mailbox.publish(1, {{{0, 1, true}}});
+  mailbox.publish(0, {{{0, 2, false}}});
 
   std::size_t cursor = 0;
   const auto first = mailbox.fetch(0, &cursor);  // member 0 sees only member 1's
   ASSERT_EQ(first.size(), 1u);
-  EXPECT_EQ(first[0].level, 3u);
-  EXPECT_FALSE(first[0].proven());
+  ASSERT_EQ(first[0].lits.size(), 1u);
+  EXPECT_EQ(first[0].lits[0].bit, 1u);
+  EXPECT_TRUE(first[0].lits[0].negated);
   EXPECT_TRUE(mailbox.fetch(0, &cursor).empty());  // cursor advanced past all
 
   std::size_t fresh = 0;  // a fresh consumer re-reads the full backlog
@@ -460,7 +454,7 @@ TEST(LemmaMailbox, MaterializeRebuildsTheClauseAndRejectsMisfits) {
   ASSERT_FALSE(task.ts.states().empty());
   const std::uint32_t width = task.ts.states()[0].var->width();
 
-  const ExchangedClause good{{{0, 0, false}}, kExchangeProvenLevel};
+  const ExchangedClause good{{{0, 0, false}}};
   const NodeRef expr = materialize(good, task.ts);
   ASSERT_NE(expr, nullptr);
   EXPECT_EQ(expr->width(), 1u);
@@ -468,9 +462,9 @@ TEST(LemmaMailbox, MaterializeRebuildsTheClauseAndRejectsMisfits) {
   // Out-of-range state index / bit index: "does not fit", never a throw —
   // consumers skip such clauses (they came from an incompatible system).
   const std::uint32_t states = static_cast<std::uint32_t>(task.ts.states().size());
-  EXPECT_EQ(materialize({{{states, 0, false}}, 1}, task.ts), nullptr);
-  EXPECT_EQ(materialize({{{0, width, false}}, 1}, task.ts), nullptr);
-  EXPECT_EQ(materialize({{}, 1}, task.ts), nullptr);
+  EXPECT_EQ(materialize({{{states, 0, false}}}, task.ts), nullptr);
+  EXPECT_EQ(materialize({{{0, width, false}}}, task.ts), nullptr);
+  EXPECT_EQ(materialize(ExchangedClause{}, task.ts), nullptr);
 }
 
 TEST(TranslateBetween, CrossCloneRoundTrip) {
@@ -587,25 +581,26 @@ TEST(Exchange, DisabledExchangeKeepsTheMailboxOut) {
   }
 }
 
-TEST(Exchange, FrameClauseOptionReachesMembersThroughWholesaleCopy) {
+TEST(Exchange, InprocessOptionReachesMembersThroughWholesaleCopy) {
   // Regression for the hand-copied member options: any knob added to
-  // EngineOptions must reach the members. `exchange_frame_clauses` is
-  // exactly such a knob — behind it, PDR publishes every frame-k blocked
-  // clause, so its published counter must strictly exceed the F_∞-only run.
-  std::size_t published[2];
-  for (const bool frame_clauses : {false, true}) {
-    auto task = designs::make_task("token_ring");
+  // EngineOptions must reach the members. `sat_inprocess` is exactly such a
+  // knob — with it on, the BMC and PDR members' solvers run inprocessing on
+  // hamming74; with it off, no member's solver may run it.
+  const std::size_t expected_on[3] = {1, 0, 1};  // bmc, k-induction, pdr
+  for (const bool inprocess : {true, false}) {
+    auto task = designs::make_task("hamming74");
     EngineOptions options;
-    options.max_steps = 16;
+    options.max_steps = 12;
     options.portfolio_threads = false;
-    options.exchange_frame_clauses = frame_clauses;
+    options.sat_inprocess = inprocess;
     auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
     const EngineResult result = engine->prove_all(task.target_exprs());
     ASSERT_EQ(result.breakdown.size(), 3u);
-    EXPECT_EQ(result.verdict, Verdict::Proven) << "frame_clauses=" << frame_clauses;
-    published[frame_clauses ? 1 : 0] = result.breakdown[2].lemmas_published;
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(result.breakdown[i].stats.inprocessings, inprocess ? expected_on[i] : 0u)
+          << result.breakdown[i].engine << " inprocess=" << inprocess;
+    }
   }
-  EXPECT_GT(published[1], published[0]);
 }
 
 TEST(Exchange, BmcAbsorbsPublishedClauses) {
@@ -624,9 +619,7 @@ TEST(Exchange, BmcAbsorbsPublishedClauses) {
   ASSERT_TRUE(found);
 
   auto mailbox = std::make_shared<LemmaMailbox>(2);
-  mailbox->publish(0, {{{token_index, 0, false}, {token_index, 1, false}},
-                       kExchangeProvenLevel});
-  mailbox->publish(0, {{{token_index, 2, false}}, 2});  // level-tagged
+  mailbox->publish(0, {{{token_index, 0, false}, {token_index, 1, false}}});
 
   EngineOptions options;
   options.max_steps = 4;
@@ -635,24 +628,18 @@ TEST(Exchange, BmcAbsorbsPublishedClauses) {
   auto bmc = make_engine(EngineKind::Bmc, task.ts, options);
   const EngineResult result = bmc->prove_all(task.target_exprs());
   EXPECT_EQ(result.verdict, Verdict::Unknown);  // no CEX exists: property holds
-  EXPECT_EQ(mailbox->absorbed_by(1), 2u);
+  EXPECT_EQ(mailbox->absorbed_by(1), 1u);
 }
 
 TEST(Exchange, AbsorbFilterAdmitsEachManagerNeutralFormOnce) {
   AbsorbFilter filter;
-  const ExchangedClause proven{{{0, 1, false}, {2, 0, true}}, kExchangeProvenLevel};
+  const ExchangedClause proven{{{0, 1, false}, {2, 0, true}}};
   EXPECT_TRUE(filter.admit(proven));
   EXPECT_FALSE(filter.admit(proven));  // exact duplicate
 
-  // Same literals at a different level are a *different* fact (bounded vs
-  // proven), so they pass.
-  const ExchangedClause bounded{{{0, 1, false}, {2, 0, true}}, 3};
-  EXPECT_TRUE(filter.admit(bounded));
-  EXPECT_FALSE(filter.admit(bounded));
-
-  // And genuinely different literals pass regardless of publisher or order
-  // of arrival.
-  EXPECT_TRUE(filter.admit({{{0, 1, true}}, kExchangeProvenLevel}));
+  // Genuinely different literals pass regardless of publisher or order of
+  // arrival.
+  EXPECT_TRUE(filter.admit({{{0, 1, true}}}));
 }
 
 TEST(Exchange, ConsumersDedupeTheRepublishedBacklog) {
@@ -668,10 +655,8 @@ TEST(Exchange, ConsumersDedupeTheRepublishedBacklog) {
   }
 
   auto mailbox = std::make_shared<LemmaMailbox>(2);
-  const ExchangedClause mutex01{{{token_index, 0, false}, {token_index, 1, false}},
-                               kExchangeProvenLevel};
-  const ExchangedClause mutex02{{{token_index, 0, false}, {token_index, 2, false}},
-                               kExchangeProvenLevel};
+  const ExchangedClause mutex01{{{token_index, 0, false}, {token_index, 1, false}}};
+  const ExchangedClause mutex02{{{token_index, 0, false}, {token_index, 2, false}}};
   mailbox->publish(0, mutex01);
   mailbox->publish(0, mutex01);  // re-published by a later slice
   mailbox->publish(0, mutex02);

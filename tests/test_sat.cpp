@@ -717,23 +717,14 @@ TEST(Drat, SatRunLogsInputsButNoEmptyClause) {
 
 // --- backend registry -----------------------------------------------------------
 
-TEST(BackendRegistry, InternalIsDefaultAndUnknownNamesThrow) {
-  const std::vector<std::string> names = backend_names();
-  ASSERT_FALSE(names.empty());
-  EXPECT_NE(std::find(names.begin(), names.end(), "internal"), names.end());
-
-  SolverConfig config;
-  config.backend = "internal";
-  const std::unique_ptr<Backend> backend = make_backend(config);
+TEST(BackendRegistry, MakeBackendBuildsTheInternalSolver) {
+  const std::unique_ptr<Backend> backend = make_backend();
   ASSERT_NE(backend, nullptr);
   EXPECT_NE(dynamic_cast<Solver*>(backend.get()), nullptr);
   const Var v = backend->new_var();
   ASSERT_TRUE(backend->add_clause(pos(v)));
   EXPECT_EQ(backend->solve(), LBool::True);
   EXPECT_EQ(backend->model_value(v), LBool::True);
-
-  config.backend = "cadical-from-the-future";
-  EXPECT_THROW((void)make_backend(config), UsageError);
 }
 
 TEST(BackendRegistry, MakeBackendAppliesEveryConfigField) {
